@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "autograd/loss.h"
@@ -97,6 +98,66 @@ void BM_SpmmTransposedAArxivScale(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * an.nnz() * 64);
 }
 BENCHMARK(BM_SpmmTransposedAArxivScale)->Apply(ThreadSweep)->UseRealTime();
+
+// The same product on an unmarked copy of the matrix: the chunked
+// scatter that asymmetric operands still take, next to the gather form
+// the symmetric (marked) normalized adjacency above runs.
+void BM_SpmmTransposedAScatterArxivScale(benchmark::State& state) {
+  SetNumThreads(static_cast<int>(state.range(0)));
+  const std::int64_t n = 20000;
+  Graph g = BenchGraph(n);
+  const CsrMatrix an = NormalizedAdjacency(g);
+  std::vector<std::tuple<std::int64_t, std::int64_t, float>> triplets;
+  for (std::int64_t r = 0; r < n; ++r) {
+    for (std::int64_t e = an.row_ptr()[r]; e < an.row_ptr()[r + 1]; ++e) {
+      triplets.emplace_back(r, an.col_idx()[e], an.values()[e]);
+    }
+  }
+  const CsrMatrix unmarked = CsrMatrix::FromCoo(n, n, std::move(triplets));
+  Rng rng(2);
+  Matrix x = Matrix::RandomNormal(n, 64, 0, 1, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SpmmTransposedA(unmarked, x));
+  }
+  state.counters["threads"] = static_cast<double>(state.range(0));
+  state.counters["size"] = static_cast<double>(n);
+  state.SetItemsProcessed(state.iterations() * an.nnz() * 64);
+}
+BENCHMARK(BM_SpmmTransposedAScatterArxivScale)
+    ->Apply(ThreadSweep)
+    ->UseRealTime();
+
+// The backward GEMMs of a GCN layer at the cora shapes (2,708 nodes, 128
+// features, 64 hidden): the weight gradient X^T G (MatMulTransposedA,
+// zero-skipping the sparse features) and the input gradient G W^T
+// (MatMulTransposedB, dot form of width 64).
+void BM_MatMulTransposedA(benchmark::State& state) {
+  SetNumThreads(static_cast<int>(state.range(0)));
+  const Graph g = BenchGraph(2708);
+  Rng rng(8);
+  const Matrix grad = Matrix::RandomNormal(2708, 64, 0, 1, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransposedA(g.features, grad));
+  }
+  state.counters["threads"] = static_cast<double>(state.range(0));
+  state.counters["size"] = 2708;
+  state.SetItemsProcessed(state.iterations() * 2708 * 128 * 64);
+}
+BENCHMARK(BM_MatMulTransposedA)->Apply(ThreadSweep)->UseRealTime();
+
+void BM_MatMulTransposedB(benchmark::State& state) {
+  SetNumThreads(static_cast<int>(state.range(0)));
+  Rng rng(9);
+  const Matrix grad = Matrix::RandomNormal(2708, 64, 0, 1, rng);
+  const Matrix w = Matrix::RandomNormal(128, 64, 0, 1, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransposedB(grad, w));
+  }
+  state.counters["threads"] = static_cast<double>(state.range(0));
+  state.counters["size"] = 2708;
+  state.SetItemsProcessed(state.iterations() * 2708 * 128 * 64);
+}
+BENCHMARK(BM_MatMulTransposedB)->Apply(ThreadSweep)->UseRealTime();
 
 void BM_KMeansThreads(benchmark::State& state) {
   SetNumThreads(static_cast<int>(state.range(0)));

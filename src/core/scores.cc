@@ -75,25 +75,28 @@ float ImportanceScores::Similarity(std::int64_t v, std::int64_t u) const {
          RowDistance(graph_->features, v, graph_->features, u);
 }
 
-float ImportanceScores::EdgeScore(std::int64_t v, std::int64_t u,
-                                  bool is_neighbor) const {
-  // Exponents are normalized to [0, 1] ranges before exp(): the raw
-  // phi + Sim form spans several orders of magnitude, which makes the
-  // weighted sampling effectively deterministic and collapses the two
-  // positive views onto each other. Tempering keeps a clear preference
-  // for important edges while preserving sampling diversity.
+// Exponents are normalized to [0, 1] ranges before exp(): the raw
+// phi + Sim form spans several orders of magnitude, which makes the
+// weighted sampling effectively deterministic and collapses the two
+// positive views onto each other. Tempering keeps a clear preference for
+// important edges while preserving sampling diversity.
+
+float ImportanceScores::NeighborTerm(std::int64_t v, std::int64_t u) const {
   const float sim = Similarity(v, u) / std::max(sim_constant_, 1e-6f);
   const float phi = centrality_[u] / std::max(max_centrality_, 1e-6f);
-  if (is_neighbor) {
-    return beta_ * std::exp(phi + sim);
-  }
-  return (1.0f - beta_) * std::exp(-phi + sim);
+  return std::exp(phi + sim);
 }
 
-float ImportanceScores::PerturbProbability(std::int64_t v, std::int64_t dim,
-                                           float eta) const {
-  if (eta <= 0.0f) return 0.0f;
-  return std::min(eta * dim_term_[dim] * node_term_[v], kProbabilityCap);
+float ImportanceScores::CandidateTerm(std::int64_t v, std::int64_t u) const {
+  const float sim = Similarity(v, u) / std::max(sim_constant_, 1e-6f);
+  const float phi = centrality_[u] / std::max(max_centrality_, 1e-6f);
+  return std::exp(-phi + sim);
+}
+
+float ImportanceScores::EdgeScore(std::int64_t v, std::int64_t u,
+                                  bool is_neighbor) const {
+  return is_neighbor ? beta_ * NeighborTerm(v, u)
+                     : (1.0f - beta_) * CandidateTerm(v, u);
 }
 
 }  // namespace e2gcl

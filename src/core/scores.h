@@ -1,6 +1,7 @@
 #ifndef E2GCL_CORE_SCORES_H_
 #define E2GCL_CORE_SCORES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -25,9 +26,15 @@ class ImportanceScores {
   /// Sim(v, u) = c - ||x_v - x_u||, c = max over existing edges.
   float Similarity(std::int64_t v, std::int64_t u) const;
 
-  /// Edge score w^e_{v,u}. `is_neighbor` selects the existing-edge or
-  /// candidate-edge branch.
+  /// Edge score w^e_{v,u} under the constructor's beta. `is_neighbor`
+  /// selects the existing-edge or candidate-edge branch.
   float EdgeScore(std::int64_t v, std::int64_t u, bool is_neighbor) const;
+
+  /// The beta-free factors of EdgeScore: exp(phi + sim) for an existing
+  /// edge and exp(-phi + sim) for a candidate edge, so EdgeScore is
+  /// beta * NeighborTerm or (1 - beta) * CandidateTerm.
+  float NeighborTerm(std::int64_t v, std::int64_t u) const;
+  float CandidateTerm(std::int64_t v, std::int64_t u) const;
 
   /// Global importance of feature dimension i:
   /// w^f_i = sum_v phi_c(v) * |x_v[i]|.
@@ -46,7 +53,10 @@ class ImportanceScores {
   /// "important dimensions are kept" and "influential nodes are kept"
   /// behaviours the text describes.)
   float PerturbProbability(std::int64_t v, std::int64_t dim,
-                           float eta) const;
+                           float eta) const {
+    if (eta <= 0.0f) return 0.0f;
+    return std::min(eta * dim_term_[dim] * node_term_[v], kProbabilityCap);
+  }
 
   /// Maximum perturbation probability before eta scaling, mirroring
   /// GCA's cap that prevents certain perturbation of any feature.

@@ -38,21 +38,32 @@ const Counter& FeaturesPerturbedCounter() {
 }  // namespace
 
 ViewGenerator::ViewGenerator(const Graph& graph, float beta)
-    : graph_(&graph), scores_(graph, beta) {}
+    : graph_(&graph), scores_(graph, beta) {
+  // The existing-edge factor of the edge score depends on the graph
+  // alone, so it is computed once per CSR entry; per view, only the
+  // sampled 2-hop candidates still need a score evaluated.
+  neighbor_terms_.resize(graph.col.size());
+  for (std::int64_t u = 0; u < graph.num_nodes; ++u) {
+    for (std::int64_t e = graph.row_ptr[u]; e < graph.row_ptr[u + 1]; ++e) {
+      neighbor_terms_[e] = scores_.NeighborTerm(u, graph.col[e]);
+    }
+  }
+}
 
-std::vector<std::int64_t> ViewGenerator::SampleNeighbors(
-    std::int64_t u, const ViewConfig& config, Rng& rng) const {
+void ViewGenerator::SampleNeighbors(std::int64_t u, const ViewConfig& config,
+                                    Rng& rng,
+                                    std::vector<std::int64_t>& out) const {
+  out.clear();
   const Graph& g = *graph_;
   const auto nb = g.Neighbors(u);
   const std::int64_t deg = static_cast<std::int64_t>(nb.size());
-  if (deg == 0) return {};
+  if (deg == 0) return;
 
-  // Candidate set V_u^N = N_u^1 (always, all of it) plus a subsample of
-  // N_u^2 (capped for dense graphs). A shared scratch bitmap (reset via
-  // the touched list) keeps the dense-graph 2-hop scan allocation- and
-  // hash-free; this loop dominates view-generation cost.
-  std::vector<std::int64_t> candidates(nb.begin(), nb.end());
-  std::vector<char> is_neighbor(candidates.size(), 1);
+  // Candidate set V_u^N = N_u^1 (always, all of it: candidates_[0, deg))
+  // plus a subsample of N_u^2 (capped for dense graphs). A shared scratch
+  // bitmap (reset via the touched list) keeps the dense-graph 2-hop scan
+  // allocation- and hash-free; this loop dominates view-generation cost.
+  candidates_.assign(nb.begin(), nb.end());
   if (config.allow_edge_addition && config.max_two_hop_candidates > 0) {
     if (static_cast<std::int64_t>(seen_scratch_.size()) < g.num_nodes) {
       seen_scratch_.assign(g.num_nodes, 0);
@@ -66,15 +77,15 @@ std::vector<std::int64_t> ViewGenerator::SampleNeighbors(
     for (std::int32_t w : nb) mark(w);
     // Reservoir-sample 2-hop candidates without materializing the full
     // 2-hop set on dense graphs.
-    std::vector<std::int64_t> two_hop;
+    two_hop_.clear();
     std::int64_t count = 0;
     for (std::int32_t w : nb) {
       for (std::int32_t x : g.Neighbors(w)) {
         if (seen_scratch_[x]) continue;
         ++count;
-        if (static_cast<std::int64_t>(two_hop.size()) <
+        if (static_cast<std::int64_t>(two_hop_.size()) <
             config.max_two_hop_candidates) {
-          two_hop.push_back(x);
+          two_hop_.push_back(x);
           mark(x);
         } else {
           const std::int64_t j = rng.UniformInt(count);
@@ -83,62 +94,66 @@ std::vector<std::int64_t> ViewGenerator::SampleNeighbors(
             // duplicates are impossible because marks only grow and
             // marked nodes are skipped.
             mark(x);
-            two_hop[j] = x;
+            two_hop_[j] = x;
           }
         }
       }
     }
-    for (std::int64_t x : two_hop) {
-      candidates.push_back(x);
-      is_neighbor.push_back(0);
-    }
+    candidates_.insert(candidates_.end(), two_hop_.begin(), two_hop_.end());
     for (std::int64_t x : touched_scratch_) seen_scratch_[x] = 0;
   }
+  const std::int64_t num_candidates =
+      static_cast<std::int64_t>(candidates_.size());
 
-  CandidatesCounter().Add(candidates.size());
+  CandidatesCounter().Add(num_candidates);
 
   // Number of neighbors to draw: round(tau * |N_u|), at least 1 so no
   // node is isolated unless tau == 0, capped by the candidate count.
   std::int64_t want = static_cast<std::int64_t>(
       std::llround(static_cast<double>(config.tau) * deg));
   if (config.tau > 0.0f) want = std::max<std::int64_t>(want, 1);
-  want = std::min<std::int64_t>(want,
-                                static_cast<std::int64_t>(candidates.size()));
-  if (want <= 0) return {};
+  want = std::min<std::int64_t>(want, num_candidates);
+  if (want <= 0) return;
+
+  // Edge scores under this channel's beta: beta times the cached
+  // existing-edge term, (1 - beta) times the candidate term.
+  auto candidate_weight = [&](std::int64_t i) {
+    return config.importance_edges
+               ? (1.0f - config.beta) * scores_.CandidateTerm(u, candidates_[i])
+               : 1.0f;
+  };
 
   if (!config.allow_edge_deletion) {
     // Keep all existing neighbors; only top up with additions.
-    std::vector<std::int64_t> result(nb.begin(), nb.end());
+    out.assign(nb.begin(), nb.end());
     const std::int64_t extra = want > deg ? want - deg : 0;
-    if (extra > 0 && candidates.size() > static_cast<std::size_t>(deg)) {
-      std::vector<float> w(candidates.size() - deg);
-      for (std::size_t i = deg; i < candidates.size(); ++i) {
-        w[i - deg] = config.importance_edges
-                         ? scores_.EdgeScore(u, candidates[i], false)
-                         : 1.0f;
+    if (extra > 0 && num_candidates > deg) {
+      weights_.resize(num_candidates - deg);
+      for (std::int64_t i = deg; i < num_candidates; ++i) {
+        weights_[i - deg] = candidate_weight(i);
       }
-      for (std::int64_t idx : rng.WeightedSampleWithoutReplacement(w, extra)) {
-        result.push_back(candidates[deg + idx]);
+      for (std::int64_t idx :
+           rng.WeightedSampleWithoutReplacement(weights_, extra)) {
+        out.push_back(candidates_[deg + idx]);
       }
     }
-    EdgesSampledCounter().Add(result.size());
-    return result;
+    EdgesSampledCounter().Add(out.size());
+    return;
   }
 
-  std::vector<float> weights(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    weights[i] = config.importance_edges
-                     ? scores_.EdgeScore(u, candidates[i],
-                                         is_neighbor[i] != 0)
-                     : 1.0f;
+  weights_.resize(num_candidates);
+  const float* neighbor_terms = neighbor_terms_.data() + g.row_ptr[u];
+  for (std::int64_t i = 0; i < deg; ++i) {
+    weights_[i] =
+        config.importance_edges ? config.beta * neighbor_terms[i] : 1.0f;
   }
-  std::vector<std::int64_t> picked_idx =
-      rng.WeightedSampleWithoutReplacement(weights, want);
-  std::vector<std::int64_t> result;
-  result.reserve(picked_idx.size());
-  for (std::int64_t idx : picked_idx) result.push_back(candidates[idx]);
-  EdgesSampledCounter().Add(result.size());
-  return result;
+  for (std::int64_t i = deg; i < num_candidates; ++i) {
+    weights_[i] = candidate_weight(i);
+  }
+  for (std::int64_t idx : rng.WeightedSampleWithoutReplacement(weights_, want)) {
+    out.push_back(candidates_[idx]);
+  }
+  EdgesSampledCounter().Add(out.size());
 }
 
 void ViewGenerator::PerturbRow(float* row, std::int64_t node,
@@ -167,8 +182,10 @@ Graph ViewGenerator::GenerateGlobalView(const ViewConfig& config,
   const Graph& g = *graph_;
   std::vector<std::pair<std::int64_t, std::int64_t>> edges;
   edges.reserve(g.col.size() / 2 + g.num_nodes);
+  std::vector<std::int64_t> sampled;
   for (std::int64_t u = 0; u < g.num_nodes; ++u) {
-    for (std::int64_t v : SampleNeighbors(u, config, rng)) {
+    SampleNeighbors(u, config, rng, sampled);
+    for (std::int64_t v : sampled) {
       edges.emplace_back(std::min(u, v), std::max(u, v));
     }
   }
@@ -200,11 +217,13 @@ Graph ViewGenerator::GeneratePerNodeView(
   std::vector<std::int64_t> frontier{root};
   std::vector<std::pair<std::int64_t, std::int64_t>> edges;
   std::unordered_set<std::int64_t> expanded;
+  std::vector<std::int64_t> sampled;
   for (int l = 0; l < hops; ++l) {
     std::vector<std::int64_t> next;
     for (std::int64_t u : frontier) {
       if (!expanded.insert(u).second) continue;
-      for (std::int64_t v : SampleNeighbors(u, config, rng)) {
+      SampleNeighbors(u, config, rng, sampled);
+      for (std::int64_t v : sampled) {
         edges.emplace_back(u, v);
         if (in_view.insert(v).second) {
           nodes.push_back(v);

@@ -53,8 +53,10 @@ struct ViewConfig {
 ///    Alg. 3, used by tests and view-quality analysis.
 class ViewGenerator {
  public:
-  /// Precomputes importance scores (O(E d + V d)); `graph` must outlive
-  /// the generator.
+  /// Precomputes importance scores and the existing-edge score factor of
+  /// every CSR entry (O(E d + V d)); `graph` must outlive the generator.
+  /// `beta` parameterizes scores().EdgeScore only: sampled views use the
+  /// beta of the ViewConfig they are given.
   ViewGenerator(const Graph& graph, float beta = 0.7f);
 
   /// Samples one whole-graph positive view.
@@ -74,10 +76,10 @@ class ViewGenerator {
   const Graph& graph() const { return *graph_; }
 
  private:
-  /// Samples the new neighbor set of node u under `config`.
-  std::vector<std::int64_t> SampleNeighbors(std::int64_t u,
-                                            const ViewConfig& config,
-                                            Rng& rng) const;
+  /// Samples the new neighbor set of node u under `config` (edge scores
+  /// use config.beta) into `out`.
+  void SampleNeighbors(std::int64_t u, const ViewConfig& config, Rng& rng,
+                       std::vector<std::int64_t>& out) const;
 
   /// Applies Eq. (16) to one feature row (in place).
   void PerturbRow(float* row, std::int64_t node, const ViewConfig& config,
@@ -85,10 +87,17 @@ class ViewGenerator {
 
   const Graph* graph_;
   ImportanceScores scores_;
-  /// Scratch for the 2-hop candidate scan (bitmap + touched list);
-  /// mutable because view sampling is logically const.
+  /// scores_.NeighborTerm(u, col[e]) for every CSR entry e of row u.
+  std::vector<float> neighbor_terms_;
+  /// Per-node sampling scratch, reused across nodes: the 2-hop scan's
+  /// bitmap and touched list, the candidate list, the reservoir of 2-hop
+  /// candidates, and the candidate weights. Mutable because view
+  /// sampling is logically const.
   mutable std::vector<char> seen_scratch_;
   mutable std::vector<std::int64_t> touched_scratch_;
+  mutable std::vector<std::int64_t> candidates_;
+  mutable std::vector<std::int64_t> two_hop_;
+  mutable std::vector<float> weights_;
 };
 
 /// Quality of a generated view pair under Def. 2 / Eq. (15), measured

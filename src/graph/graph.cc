@@ -77,7 +77,12 @@ CsrMatrix NormalizedAdjacency(const Graph& g, bool add_self_loops) {
           v, u, static_cast<float>(1.0 / std::sqrt(dv * deg[u])));
     }
   }
-  return CsrMatrix::FromCoo(n, n, std::move(triplets));
+  // Symmetric by construction for an undirected graph (dv * du == du * dv
+  // exactly); the check keeps a hand-built asymmetric Graph correct, on
+  // the scatter path.
+  CsrMatrix adj = CsrMatrix::FromCoo(n, n, std::move(triplets));
+  adj.MarkSymmetricIfExact();
+  return adj;
 }
 
 CsrMatrix RowNormalizedAdjacency(const Graph& g) {

@@ -1,6 +1,7 @@
 #include "tensor/csr.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <vector>
 
@@ -74,6 +75,33 @@ Matrix CsrMatrix::ToDense() const {
   return d;
 }
 
+bool CsrMatrix::MarkSymmetricIfExact() {
+  symmetric_ = false;
+  if (rows_ != cols_) return false;
+  // Visiting rows in ascending order meets the mirrors (c, r) of row c in
+  // ascending r, which is row c's own (sorted) order. So one cursor per
+  // row walks it exactly once: every entry must find its mirror at the
+  // cursor, and every cursor must end at its row's end.
+  std::vector<std::int64_t> cursor(row_ptr_.begin(), row_ptr_.end() - 1);
+  for (std::int64_t r = 0; r < rows_; ++r) {
+    for (std::int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const std::int64_t c = col_idx_[k];
+      const std::int64_t m = cursor[c];
+      if (m >= row_ptr_[c + 1] || col_idx_[m] != r ||
+          std::bit_cast<std::uint32_t>(values_[m]) !=
+              std::bit_cast<std::uint32_t>(values_[k])) {
+        return false;
+      }
+      ++cursor[c];
+    }
+  }
+  for (std::int64_t r = 0; r < rows_; ++r) {
+    if (cursor[r] != row_ptr_[r + 1]) return false;
+  }
+  symmetric_ = true;
+  return true;
+}
+
 namespace {
 
 // Output-row floor for the scatter-form SpmmTransposedA: below this many
@@ -138,6 +166,25 @@ Matrix SpmmTransposedA(const CsrMatrix& a, const Matrix& b) {
       std::max({kScatterRowFloor, GrainForCost(avg_nnz * n),
                 (a.rows() + 63) / 64});
   const std::int64_t chunks = NumChunks(a.rows(), grain);
+  if (a.symmetric()) {
+    // A^T = A, and row c of A lists the rows r that scatter into output
+    // row c in ascending r. Gathering them per output row, grouped by the
+    // scatter chunk r / grain, repeats the scatter's per-element sums in
+    // the same order: one chunk is a plain Spmm chain from zero; several
+    // are per-chunk sums from zero added in ascending chunk order.
+    ParallelFor(0, a.rows(), GrainForCost(avg_nnz * n),
+                [&](std::int64_t rb, std::int64_t re) {
+                  if (chunks <= 1) {
+                    simd::SpmmRows(rp.data(), ci.data(), vs.data(), b.data(),
+                                   c.data(), rb, re, n);
+                  } else {
+                    simd::SpmmGroupedRows(rp.data(), ci.data(), vs.data(),
+                                          b.data(), c.data(), rb, re, n,
+                                          grain);
+                  }
+                });
+    return c;
+  }
   auto scatter = [&](Matrix& dst, std::int64_t rb, std::int64_t re) {
     for (std::int64_t r = rb; r < re; ++r) {
       const float* brow = b.RowPtr(r);

@@ -43,18 +43,33 @@ class CsrMatrix {
   /// Dense copy (tests / tiny matrices only).
   Matrix ToDense() const;
 
+  /// Marks the matrix symmetric if it is exactly so: square, and every
+  /// stored (r, c, v) has a stored (c, r) with bit-identical value. O(nnz)
+  /// check; returns the resulting mark. Nothing else sets the mark, and
+  /// no method mutates a CsrMatrix, so a marked matrix stays symmetric.
+  bool MarkSymmetricIfExact();
+
+  /// True after a successful MarkSymmetricIfExact(): SpmmTransposedA then
+  /// runs in row-parallel gather form.
+  bool symmetric() const { return symmetric_; }
+
  private:
   std::int64_t rows_;
   std::int64_t cols_;
   std::vector<std::int64_t> row_ptr_;
   std::vector<std::int32_t> col_idx_;
   std::vector<float> values_;
+  bool symmetric_ = false;
 };
 
 /// Dense result of sparse x dense: C = A * B with A sparse.
 Matrix Spmm(const CsrMatrix& a, const Matrix& b);
 
-/// C = A^T * B without materializing the transpose (scatter form).
+/// C = A^T * B without materializing the transpose. Input rows are cut
+/// into size-based chunks whose scattered partials are summed in chunk
+/// order. On a matrix marked symmetric the same sums run in gather form
+/// (simd::SpmmGroupedRows), bit-identical to the scatter, with no
+/// partials and a thread per output row block.
 Matrix SpmmTransposedA(const CsrMatrix& a, const Matrix& b);
 
 }  // namespace e2gcl

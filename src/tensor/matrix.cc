@@ -103,6 +103,9 @@ constexpr std::int64_t kFlatGrain = std::int64_t{1} << 15;
 // small inputs keep the exact serial summation order.
 constexpr std::int64_t kReduceRowFloor = 512;
 
+// Row floor per chunk of MatMulTransposedB (see there).
+constexpr std::int64_t kTransBRowFloor = 16;
+
 /// Telemetry for an (m x k) * (k x n) product: call count, fused
 /// multiply-add count, and the touched byte volume (a + b + c, float32).
 void RecordMatMulMetrics(std::int64_t m, std::int64_t k, std::int64_t n) {
@@ -139,9 +142,14 @@ Matrix MatMulTransposedB(const Matrix& a, const Matrix& b) {
   const std::int64_t m = a.rows(), k = a.cols(), n = b.rows();
   RecordMatMulMetrics(m, k, n);
   Matrix c(m, n);
-  ParallelFor(0, m, GrainForCost(k * n), [&](std::int64_t rb, std::int64_t re) {
-    simd::GemmTransBRows(a.data(), b.data(), c.data(), rb, re, k, n);
-  });
+  // At least kTransBRowFloor rows per chunk: the kernel reads each block
+  // of B rows once per chunk, so one-row chunks would stream all of B
+  // from L2 per output row.
+  ParallelFor(0, m, std::max(kTransBRowFloor, GrainForCost(k * n)),
+              [&](std::int64_t rb, std::int64_t re) {
+                simd::GemmTransBRows(a.data(), b.data(), c.data(), rb, re, k,
+                                     n);
+              });
   return c;
 }
 
@@ -155,30 +163,22 @@ Matrix MatMulTransposedA(const Matrix& a, const Matrix& b) {
   // size-based chunks, each accumulating into its own m x n partial;
   // partials are reduced in ascending chunk order, which keeps the result
   // independent of the thread count. A single chunk (small k) follows the
-  // exact serial path.
+  // exact serial path. Per element, simd::GemmTransARows is the
+  // ascending-p Axpy sequence with the a[p][i] == 0 skip.
   const std::int64_t grain =
       std::max({kReduceRowFloor, GrainForCost(m * n), (k + 63) / 64});
   const std::int64_t chunks = NumChunks(k, grain);
-  auto accumulate = [&](Matrix& dst, std::int64_t pb, std::int64_t pe) {
-    for (std::int64_t p = pb; p < pe; ++p) {
-      const float* arow = a.RowPtr(p);
-      const float* brow = b.RowPtr(p);
-      for (std::int64_t i = 0; i < m; ++i) {
-        const float av = arow[i];
-        if (av == 0.0f) continue;
-        simd::Axpy(dst.RowPtr(i), av, brow, n);
-      }
-    }
-  };
   if (chunks <= 1) {
-    accumulate(c, 0, k);
+    simd::GemmTransARows(a.data(), b.data(), c.data(), 0, m, 0, k, m, n);
     return c;
   }
   std::vector<Matrix> partials(chunks);
   ParallelForChunks(0, k, grain,
                     [&](std::int64_t chunk, std::int64_t pb, std::int64_t pe) {
                       partials[chunk] = Matrix(m, n);
-                      accumulate(partials[chunk], pb, pe);
+                      simd::GemmTransARows(a.data(), b.data(),
+                                           partials[chunk].data(), 0, m, pb,
+                                           pe, m, n);
                     });
   for (const Matrix& part : partials) AddInPlace(c, part);
   return c;

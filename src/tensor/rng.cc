@@ -10,10 +10,6 @@
 
 namespace e2gcl {
 
-float Rng::Uniform() {
-  return std::uniform_real_distribution<float>(0.0f, 1.0f)(engine_);
-}
-
 float Rng::Uniform(float lo, float hi) {
   return std::uniform_real_distribution<float>(lo, hi)(engine_);
 }
@@ -29,12 +25,6 @@ float Rng::Normal() {
 
 float Rng::Normal(float mean, float stddev) {
   return std::normal_distribution<float>(mean, stddev)(engine_);
-}
-
-bool Rng::Bernoulli(float p) {
-  if (p <= 0.0f) return false;
-  if (p >= 1.0f) return true;
-  return std::bernoulli_distribution(static_cast<double>(p))(engine_);
 }
 
 std::vector<std::int64_t> Rng::SampleWithoutReplacement(std::int64_t n,

@@ -24,8 +24,16 @@ class Rng {
   Rng(Rng&&) = default;
   Rng& operator=(Rng&&) = default;
 
-  /// Uniform float in [0, 1).
-  float Uniform();
+  /// Uniform float in [0, 1). Defined inline: dropout, feature
+  /// perturbation and the generators draw millions per epoch. The formula
+  /// is libstdc++'s generate_canonical<float, 24> for a 64-bit engine (one
+  /// draw scaled by 2^-64, a result that rounds up to 1 clamped to the
+  /// largest float below 1), so the stream equals
+  /// std::uniform_real_distribution<float>(0, 1) on the same engine.
+  float Uniform() {
+    const float f = static_cast<float>(engine_()) * 0x1p-64f;
+    return f >= 1.0f ? 0x1.fffffep-1f : f;
+  }
 
   /// Uniform float in [lo, hi).
   float Uniform(float lo, float hi);
@@ -39,8 +47,15 @@ class Rng {
   /// Normal sample with the given mean and standard deviation.
   float Normal(float mean, float stddev);
 
-  /// Bernoulli draw with success probability p (clamped to [0, 1]).
-  bool Bernoulli(float p);
+  /// Bernoulli draw with success probability p (clamped to [0, 1]): no
+  /// draw outside (0, 1), else one draw compared as the double
+  /// generate_canonical<double, 53> that std::bernoulli_distribution uses,
+  /// so both consume and decide identically.
+  bool Bernoulli(float p) {
+    if (p <= 0.0f) return false;
+    if (p >= 1.0f) return true;
+    return static_cast<double>(engine_()) * 0x1p-64 < static_cast<double>(p);
+  }
 
   /// Samples `k` distinct values from {0, ..., n-1} uniformly, in
   /// unspecified order. Requires 0 <= k <= n.

@@ -24,9 +24,17 @@ void GemmRows(const float* a, const float* b, float* c,
 void GemmTransBRows(const float* a, const float* b, float* c,
                     std::int64_t row_begin, std::int64_t row_end,
                     std::int64_t k, std::int64_t n);
+void GemmTransARows(const float* a, const float* b, float* c,
+                    std::int64_t row_begin, std::int64_t row_end,
+                    std::int64_t p_begin, std::int64_t p_end, std::int64_t m,
+                    std::int64_t n);
 void SpmmRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
               const float* vals, const float* b, float* c,
               std::int64_t row_begin, std::int64_t row_end, std::int64_t n);
+void SpmmGroupedRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
+                     const float* vals, const float* b, float* c,
+                     std::int64_t row_begin, std::int64_t row_end,
+                     std::int64_t n, std::int64_t group);
 std::int32_t DotI8(const std::int8_t* a, const std::int8_t* b,
                    std::int64_t n);
 }  // namespace avx2
@@ -93,10 +101,25 @@ void GemmTransBRows(const float* a, const float* b, float* c,
   backend::GemmTransBRows(a, b, c, row_begin, row_end, k, n);
 }
 
+void GemmTransARows(const float* a, const float* b, float* c,
+                    std::int64_t row_begin, std::int64_t row_end,
+                    std::int64_t p_begin, std::int64_t p_end, std::int64_t m,
+                    std::int64_t n) {
+  backend::GemmTransARows(a, b, c, row_begin, row_end, p_begin, p_end, m, n);
+}
+
 void SpmmRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
               const float* vals, const float* b, float* c,
               std::int64_t row_begin, std::int64_t row_end, std::int64_t n) {
   backend::SpmmRows(row_ptr, col_idx, vals, b, c, row_begin, row_end, n);
+}
+
+void SpmmGroupedRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
+                     const float* vals, const float* b, float* c,
+                     std::int64_t row_begin, std::int64_t row_end,
+                     std::int64_t n, std::int64_t group) {
+  backend::SpmmGroupedRows(row_ptr, col_idx, vals, b, c, row_begin, row_end, n,
+                           group);
 }
 
 std::int32_t DotI8(const std::int8_t* a, const std::int8_t* b,

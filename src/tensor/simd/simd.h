@@ -71,10 +71,24 @@ void GemmRows(const float* a, const float* b, float* c,
               std::int64_t n);
 
 /// Rows [row_begin, row_end) of C = A * B^T (dot form):
-/// c[i][j] = Dot(a_row_i, b_row_j, k).
+/// c[i][j] = Dot(a_row_i, b_row_j, k), bit for bit. The AVX2 backend
+/// computes 8 output columns at once and sums their lanes with one
+/// transposed horizontal add in Dot's lane order.
 void GemmTransBRows(const float* a, const float* b, float* c,
                     std::int64_t row_begin, std::int64_t row_end,
                     std::int64_t k, std::int64_t n);
+
+/// Rows [row_begin, row_end) of C += A^T * B over the shared rows
+/// [p_begin, p_end), with A (k x m), B (k x n) and C (m x n) row-major:
+/// c[i][j] += a[p][i] * b[p][j] for p ascending, entries a[p][i] == 0.0f
+/// skipped. Per element this is exactly the loop "for p, for i:
+/// Axpy(c_row_i, a[p][i], b_row_p, n)", zero skip (and its 0 * NaN
+/// masking) included. The AVX2 backend collects the nonzeros of column i
+/// once and holds register tiles of c_row_i across them.
+void GemmTransARows(const float* a, const float* b, float* c,
+                    std::int64_t row_begin, std::int64_t row_end,
+                    std::int64_t p_begin, std::int64_t p_end, std::int64_t m,
+                    std::int64_t n);
 
 /// Rows [row_begin, row_end) of the CSR gather-form SpMM, C pre-zeroed:
 /// c[r][j] += vals[e] * b[col_idx[e]][j] for e in [row_ptr[r],
@@ -85,6 +99,18 @@ void GemmTransBRows(const float* a, const float* b, float* c,
 void SpmmRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
               const float* vals, const float* b, float* c,
               std::int64_t row_begin, std::int64_t row_end, std::int64_t n);
+
+/// SpmmRows with each row's edges grouped by column block
+/// col_idx[e] / group (blocks ascend, as the columns are sorted): every
+/// block is accumulated from zero with one Axpy per edge, and the block
+/// sums are added to c (pre-zeroed) in ascending block order, as
+/// Axpy(c_row, 1, block_sum). For a symmetric A this is, per element,
+/// the scatter-form A^T * B that cuts its input rows into chunks of
+/// `group` rows and sums the per-chunk partials in chunk order.
+void SpmmGroupedRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
+                     const float* vals, const float* b, float* c,
+                     std::int64_t row_begin, std::int64_t row_end,
+                     std::int64_t n, std::int64_t group);
 
 // --- int8 quantized primitives ---------------------------------------
 
@@ -119,9 +145,17 @@ void GemmRows(const float* a, const float* b, float* c,
 void GemmTransBRows(const float* a, const float* b, float* c,
                     std::int64_t row_begin, std::int64_t row_end,
                     std::int64_t k, std::int64_t n);
+void GemmTransARows(const float* a, const float* b, float* c,
+                    std::int64_t row_begin, std::int64_t row_end,
+                    std::int64_t p_begin, std::int64_t p_end, std::int64_t m,
+                    std::int64_t n);
 void SpmmRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
               const float* vals, const float* b, float* c,
               std::int64_t row_begin, std::int64_t row_end, std::int64_t n);
+void SpmmGroupedRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
+                     const float* vals, const float* b, float* c,
+                     std::int64_t row_begin, std::int64_t row_end,
+                     std::int64_t n, std::int64_t group);
 std::int32_t DotI8(const std::int8_t* a, const std::int8_t* b,
                    std::int64_t n);
 }  // namespace portable

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "tensor/simd/simd.h"
 
@@ -82,6 +83,21 @@ void GemmTransBRows(const float* a, const float* b, float* c,
   }
 }
 
+void GemmTransARows(const float* a, const float* b, float* c,
+                    std::int64_t row_begin, std::int64_t row_end,
+                    std::int64_t p_begin, std::int64_t p_end, std::int64_t m,
+                    std::int64_t n) {
+  for (std::int64_t p = p_begin; p < p_end; ++p) {
+    const float* arow = a + p * m;
+    const float* brow = b + p * n;
+    for (std::int64_t i = row_begin; i < row_end; ++i) {
+      const float av = arow[i];
+      if (av == 0.0f) continue;
+      Axpy(c + i * n, av, brow, n);
+    }
+  }
+}
+
 void SpmmRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
               const float* vals, const float* b, float* c,
               std::int64_t row_begin, std::int64_t row_end, std::int64_t n) {
@@ -89,6 +105,26 @@ void SpmmRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
     float* crow = c + r * n;
     for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
       Axpy(crow, vals[e], b + static_cast<std::int64_t>(col_idx[e]) * n, n);
+    }
+  }
+}
+
+void SpmmGroupedRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
+                     const float* vals, const float* b, float* c,
+                     std::int64_t row_begin, std::int64_t row_end,
+                     std::int64_t n, std::int64_t group) {
+  std::vector<float> block(n);
+  for (std::int64_t r = row_begin; r < row_end; ++r) {
+    float* crow = c + r * n;
+    std::int64_t e = row_ptr[r];
+    while (e < row_ptr[r + 1]) {
+      const std::int64_t id = col_idx[e] / group;
+      std::fill(block.begin(), block.end(), 0.0f);
+      for (; e < row_ptr[r + 1] && col_idx[e] / group == id; ++e) {
+        Axpy(block.data(), vals[e],
+             b + static_cast<std::int64_t>(col_idx[e]) * n, n);
+      }
+      Axpy(crow, 1.0f, block.data(), n);
     }
   }
 }

@@ -211,6 +211,37 @@ TEST(GlobalView, EdgeDeletionDisabledKeepsAllOriginalEdges) {
   EXPECT_GE(view.num_edges(), g.num_edges());
 }
 
+TEST(GlobalView, EachChannelSamplesWithItsOwnBeta) {
+  // Trainers build one generator with view_hat.beta and draw both
+  // channels from it; the tilde channel's beta used to be ignored. Views
+  // follow the beta of the config they are given, never the
+  // constructor's.
+  Graph g = MediumGraph();
+  const ViewConfig hat{.tau = 0.8f, .eta = 0.5f, .beta = 0.7f};
+  ViewConfig tilde{.tau = 0.6f, .eta = 0.7f, .beta = 0.7f};
+  auto draw_pair = [&](const ViewGenerator& gen, const ViewConfig& t) {
+    Rng rng(11);
+    Graph h = gen.GenerateGlobalView(hat, rng);
+    Graph v = gen.GenerateGlobalView(t, rng);
+    return std::pair{std::move(h), std::move(v)};
+  };
+  auto same = [](const Graph& a, const Graph& b) {
+    return a.row_ptr == b.row_ptr && a.col == b.col &&
+           a.features == b.features;
+  };
+  const ViewGenerator gen(g, hat.beta);
+  const auto [hat_a, tilde_a] = draw_pair(gen, tilde);
+  tilde.beta = 0.2f;
+  const auto [hat_b, tilde_b] = draw_pair(gen, tilde);
+  EXPECT_TRUE(same(hat_a, hat_b));
+  EXPECT_FALSE(same(tilde_a, tilde_b));
+
+  const ViewGenerator other_beta(g, 0.3f);
+  const auto [hat_c, tilde_c] = draw_pair(other_beta, tilde);
+  EXPECT_TRUE(same(hat_c, hat_b));
+  EXPECT_TRUE(same(tilde_c, tilde_b));
+}
+
 TEST(GlobalView, FeaturePerturbationDisabled) {
   Graph g = MediumGraph();
   ViewGenerator gen(g);

@@ -11,13 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "tensor/csr.h"
 #include "tensor/matrix.h"
@@ -214,6 +217,135 @@ TEST(SimdContract, SpmmRowsIsBitIdenticalToAxpyPerEdge) {
       }
     }
     EXPECT_EQ(via_kernel, via_axpy) << "n=" << n;
+  }
+}
+
+// The transposed GEMMs carry the weight and input gradients of every
+// MatMul; their contracts are per element and hold bit for bit in every
+// backend. Shapes: odd m on both sides of the 8-row block, shared and
+// output widths that are not multiples of 8 or 32.
+constexpr std::int64_t kOddRows[] = {1, 7, 9, 13};
+constexpr std::int64_t kInnerWidths[] = {1, 5, 9, 37};
+constexpr std::int64_t kOutWidths[] = {1, 7, 9, 33, 41, 70};
+
+/// The pre-kernel weight-gradient loop: one Axpy per nonzero (p, i) over
+/// rows [rb, re) of C and shared rows [pb, pe), p ascending.
+void TransAAxpyLoop(const std::vector<float>& a, const std::vector<float>& b,
+                    std::vector<float>& c, std::int64_t rb, std::int64_t re,
+                    std::int64_t pb, std::int64_t pe, std::int64_t m,
+                    std::int64_t n) {
+  for (std::int64_t p = pb; p < pe; ++p) {
+    for (std::int64_t i = rb; i < re; ++i) {
+      const float av = a[static_cast<std::size_t>(p * m + i)];
+      if (av == 0.0f) continue;
+      simd::Axpy(c.data() + i * n, av, b.data() + p * n, n);
+    }
+  }
+}
+
+TEST(SimdContract, GemmTransARowsMatchesAxpyLoopAndMasksNaN) {
+  Rng rng(10);
+  for (std::int64_t m : kOddRows) {
+    for (std::int64_t k : kInnerWidths) {
+      for (std::int64_t n : kOutWidths) {
+        std::vector<float> a = RandomVec(k * m, rng);
+        std::vector<float> b = RandomVec(k * n, rng);
+        // A third of A is zero; shared row 0 of A is all zero and its B
+        // row is NaN, which the zero skip must keep out of C.
+        for (float& x : a) {
+          if (rng.Uniform() < 0.33f) x = 0.0f;
+        }
+        for (std::int64_t i = 0; i < m; ++i) a[static_cast<std::size_t>(i)] = 0;
+        for (std::int64_t j = 0; j < n; ++j) {
+          b[static_cast<std::size_t>(j)] =
+              std::numeric_limits<float>::quiet_NaN();
+        }
+        // Accumulates into a non-zero C, over the full and a partial
+        // range of rows and shared rows.
+        const std::vector<float> c0 = RandomVec(m * n, rng);
+        for (const auto [rb, re, pb, pe] :
+             {std::tuple{std::int64_t{0}, m, std::int64_t{0}, k},
+              std::tuple{m / 3, m - m / 4, k / 2, k}}) {
+          std::vector<float> got = c0;
+          std::vector<float> want = c0;
+          simd::GemmTransARows(a.data(), b.data(), got.data(), rb, re, pb, pe,
+                               m, n);
+          TransAAxpyLoop(a, b, want, rb, re, pb, pe, m, n);
+          EXPECT_EQ(got, want) << "m=" << m << " k=" << k << " n=" << n
+                               << " rows [" << rb << "," << re << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdContract, GemmTransBRowsMatchesPerElementDot) {
+  Rng rng(11);
+  for (std::int64_t m : {1L, 3L, 5L}) {
+    for (std::int64_t k : {1L, 7L, 8L, 9L, 33L, 41L, 64L, 100L}) {
+      for (std::int64_t n : kOutWidths) {
+        const std::vector<float> a = RandomVec(m * k, rng);
+        const std::vector<float> b = RandomVec(n * k, rng);
+        std::vector<float> got(static_cast<std::size_t>(m * n), -1.0f);
+        simd::GemmTransBRows(a.data(), b.data(), got.data(), 0, m, k, n);
+        std::vector<float> want(got.size());
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            want[static_cast<std::size_t>(i * n + j)] =
+                simd::Dot(a.data() + i * k, b.data() + j * k, k);
+          }
+        }
+        EXPECT_EQ(got, want) << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(SimdThreads, TransposedMatMulsMatchTheirReferencesAtAnyThreadCount) {
+  // MatMulTransposedA cuts the shared dimension into chunks of
+  // max(512, GrainForCost(m * n), ceil(k / 64)) rows, sums each from zero
+  // and adds the partials in chunk order; k = 300 is one chunk, 1100 three.
+  Rng rng(12);
+  for (std::int64_t k : {300L, 1100L}) {
+    for (std::int64_t n : {7L, 33L}) {
+      const std::int64_t m = 13;
+      Matrix a = Matrix::RandomUniform(k, m, -1.0f, 1.0f, rng);
+      for (std::int64_t i = 0; i < a.size(); ++i) {
+        if (rng.Uniform() < 0.25f) a.data()[i] = 0.0f;
+      }
+      const Matrix b = Matrix::RandomUniform(k, n, -1.0f, 1.0f, rng);
+      const std::int64_t grain =
+          std::max({std::int64_t{512}, GrainForCost(m * n), (k + 63) / 64});
+      Matrix want_ta(m, n);
+      std::vector<float> part;
+      for (std::int64_t pb = 0; pb < k; pb += grain) {
+        part.assign(static_cast<std::size_t>(m * n), 0.0f);
+        TransAAxpyLoop(std::vector<float>(a.data(), a.data() + a.size()),
+                       std::vector<float>(b.data(), b.data() + b.size()), part,
+                       0, m, pb, std::min(k, pb + grain), m, n);
+        if (grain >= k) {
+          std::copy(part.begin(), part.end(), want_ta.data());
+        } else {
+          simd::Axpy(want_ta.data(), 1.0f, part.data(), m * n);
+        }
+      }
+      // A * bt^T: k x n outputs, each a Dot of width m = 13.
+      const Matrix bt = Matrix::RandomUniform(n, m, -1.0f, 1.0f, rng);
+      Matrix want_tb(k, n);
+      for (std::int64_t i = 0; i < k; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          want_tb(i, j) = simd::Dot(a.RowPtr(i), bt.RowPtr(j), m);
+        }
+      }
+      for (int threads : kThreadCounts) {
+        SetNumThreads(threads);
+        EXPECT_TRUE(MatMulTransposedA(a, b) == want_ta)
+            << "threads=" << threads << " k=" << k << " n=" << n;
+        EXPECT_TRUE(MatMulTransposedB(a, bt) == want_tb)
+            << "threads=" << threads << " k=" << k << " n=" << n;
+      }
+      SetNumThreads(1);
+    }
   }
 }
 

@@ -1,7 +1,13 @@
 #include "tensor/rng.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +160,85 @@ TEST(Fork, ChildIndependentOfFurtherParentUse) {
   Rng child2 = parent2.Fork();
   parent2.Uniform();  // Using the parent afterwards must not change child2.
   EXPECT_EQ(child2.Uniform(), c1);
+}
+
+// Uniform() and Bernoulli() are inline formulas, not calls into the std
+// distributions; these tests pin them to the distributions they replace,
+// driven from a copy of the same engine, so the RNG stream (and every
+// seeded result) stays what it was.
+
+TEST(RngStream, UniformMatchesStdDistributionIncludingClamp) {
+  Rng rng(20240601);
+  std::mt19937_64 reference = rng.engine();
+  std::mt19937_64 raw = rng.engine();
+  std::uniform_real_distribution<float> dist(0.0f, 1.0f);
+  // A draw whose top 25 bits are all ones rounds to 2^64 as a float and
+  // is clamped below 1: probability 2^-25 per draw, so 2^27 draws hit the
+  // clamp a few times (the count is asserted, not assumed).
+  const std::int64_t draws = std::int64_t{1} << 27;
+  std::int64_t clamped = 0;
+  std::int64_t mismatches = 0;
+  for (std::int64_t i = 0; i < draws; ++i) {
+    if (static_cast<float>(raw()) * 0x1p-64f >= 1.0f) ++clamped;
+    const float got = rng.Uniform();
+    const float want = dist(reference);
+    if (got != want || std::signbit(got) != std::signbit(want)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(clamped, 0);
+  EXPECT_EQ(rng.engine(), reference);
+}
+
+TEST(RngStream, BernoulliMatchesStdDistributionOverPGrid) {
+  const std::vector<float> grid = {
+      -1.0f, 0.0f, std::numeric_limits<float>::denorm_min(), 1e-30f, 1e-7f,
+      0.001f, 0.05f, 0.1f, 0.25f, 1.0f / 3.0f, 0.5f, 0.6f, 0.9f, 0.95f,
+      0.999f, std::nextafterf(1.0f, 0.0f), 1.0f, 2.0f};
+  Rng rng(77);
+  std::mt19937_64 reference = rng.engine();
+  std::int64_t mismatches = 0;
+  for (int round = 0; round < (1 << 16); ++round) {
+    for (float p : grid) {
+      const bool got = rng.Bernoulli(p);
+      // The std distribution rejects p outside [0, 1]; the Rng contract
+      // clamps without drawing.
+      const bool want =
+          p <= 0.0f ? false
+          : p >= 1.0f
+              ? true
+              : std::bernoulli_distribution(static_cast<double>(p))(reference);
+      if (got != want) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(rng.engine(), reference);
+}
+
+TEST(RngStream, SerializeRestoreContinuesMidSequence) {
+  Rng rng(123);
+  for (int i = 0; i < 1001; ++i) {
+    rng.Uniform();
+    rng.Bernoulli(0.3f);
+  }
+  const std::string state = rng.SerializeState();
+  std::vector<float> uniforms;
+  std::vector<bool> coins;
+  for (int i = 0; i < 5000; ++i) {
+    uniforms.push_back(rng.Uniform());
+    coins.push_back(rng.Bernoulli(0.7f));
+  }
+  Rng restored(999);
+  ASSERT_TRUE(restored.RestoreState(state));
+  std::mt19937_64 reference = restored.engine();
+  std::uniform_real_distribution<float> dist(0.0f, 1.0f);
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(restored.Uniform(), uniforms[i]) << "draw " << i;
+    ASSERT_EQ(restored.Bernoulli(0.7f), coins[i]) << "draw " << i;
+    ASSERT_EQ(dist(reference), uniforms[i]) << "draw " << i;
+    ASSERT_EQ(std::bernoulli_distribution(double{0.7f})(reference), coins[i])
+        << "draw " << i;
+  }
+  EXPECT_EQ(restored.engine(), rng.engine());
 }
 
 }  // namespace

@@ -22,7 +22,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "eval/io.h"
 #include "eval/protocol.h"
@@ -30,6 +33,7 @@
 #include "obs/metrics.h"
 #include "obs/resource.h"
 #include "shard/sharded_trainer.h"
+#include "tensor/check.h"
 
 namespace {
 
@@ -273,7 +277,11 @@ int main(int argc, char** argv) {
     scfg.num_shards = static_cast<int>(shards);
     scfg.halo_hops = static_cast<int>(halo_hops);
 
-    auto run_sharded = [&](ShardedTrainer& trainer) -> int {
+    // `load_graph` supplies the whole graph for --save-embedding only, so
+    // an out-of-core run stays out of core unless an embedding is asked
+    // for.
+    auto run_sharded = [&](ShardedTrainer& trainer,
+                           const std::function<Graph()>& load_graph) -> int {
       TrainResult res = trainer.Train();
       const E2gclStats& st = trainer.stats();
       std::printf(
@@ -283,7 +291,16 @@ int main(int argc, char** argv) {
           100.0 * trainer.partition().CutFraction(), st.epochs_run,
           st.selection_seconds, st.total_seconds,
           static_cast<double>(PeakRssBytes()) / (1024.0 * 1024.0));
-      return res.ok() ? 0 : 1;
+      if (!res.ok()) return 1;
+      if (!save_embedding.empty()) {
+        if (!SaveMatrixCsv(trainer.encoder().Encode(load_graph()),
+                           save_embedding)) {
+          std::fprintf(stderr, "failed to write %s\n", save_embedding.c_str());
+          return 1;
+        }
+        std::printf("embedding written to %s\n", save_embedding.c_str());
+      }
+      return 0;
     };
     if (out_of_core) {
       GraphStore store;
@@ -308,14 +325,21 @@ int main(int argc, char** argv) {
                   (long long)store.num_nodes(), (long long)store.feature_dim(),
                   store_dir.c_str());
       ShardedTrainer trainer(store, scfg);
-      return run_sharded(trainer);
+      return run_sharded(trainer, [&] {
+        std::vector<std::int64_t> all(store.num_nodes());
+        std::iota(all.begin(), all.end(), std::int64_t{0});
+        Graph full;
+        E2GCL_CHECK_MSG(store.LoadInducedSubgraph(all, &full),
+                        "failed to read graph store %s", store_dir.c_str());
+        return full;
+      });
     }
     Graph g = LoadDatasetScaled(dataset, scale, 0x5eed);
     std::printf("dataset %s (scale %.2f): %lld nodes, %lld edges\n",
                 dataset.c_str(), scale, (long long)g.num_nodes,
                 (long long)g.num_edges());
     ShardedTrainer trainer(g, scfg);
-    return run_sharded(trainer);
+    return run_sharded(trainer, [&] { return g; });
   }
 
   Graph g = LoadDatasetScaled(dataset, scale, 0x5eed);
