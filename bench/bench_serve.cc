@@ -77,9 +77,10 @@ std::vector<double> DriveClients(EmbeddingServer& server,
       for (int q = 0; q < kQueriesPerClient; ++q) {
         const std::int64_t node = rng.UniformInt(num_nodes);
         const auto t0 = std::chrono::steady_clock::now();
-        const std::vector<float> row = server.GetEmbedding(node);
+        const EmbeddingResponse r =
+            server.GetEmbedding(node, ServeRequestOptions{});
         const auto t1 = std::chrono::steady_clock::now();
-        if (row.empty()) std::abort();  // keep the call observable
+        if (r.status != ServeStatus::kOk || r.row.empty()) std::abort();
         per_client[c].push_back(
             std::chrono::duration<double, std::micro>(t1 - t0).count());
       }
@@ -114,6 +115,8 @@ std::vector<double> DriveTopKClients(EmbeddingServer& server,
                                      std::int64_t num_nodes) {
   std::vector<std::vector<double>> per_client(kClientThreads);
   std::vector<std::thread> clients;
+  ServeRequestOptions exact;
+  exact.allow_degraded = false;
   for (int c = 0; c < kClientThreads; ++c) {
     clients.emplace_back([&, c] {
       Rng rng(200 + static_cast<std::uint64_t>(c));
@@ -121,9 +124,11 @@ std::vector<double> DriveTopKClients(EmbeddingServer& server,
       for (int q = 0; q < kQueriesPerClient; ++q) {
         const std::int64_t node = rng.UniformInt(num_nodes);
         const auto t0 = std::chrono::steady_clock::now();
-        const TopKResult top = server.TopKSimilar(node, 8);
+        const TopKResponse top = server.TopKSimilar(node, 8, exact);
         const auto t1 = std::chrono::steady_clock::now();
-        if (top.nodes.empty()) std::abort();  // keep the call observable
+        if (top.status != ServeStatus::kOk || top.result.nodes.empty()) {
+          std::abort();
+        }
         per_client[c].push_back(
             std::chrono::duration<double, std::micro>(t1 - t0).count());
       }

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "autograd/loss.h"
+#include "nn/optim.h"
 #include "tensor/check.h"
 
 namespace e2gcl {

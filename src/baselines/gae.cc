@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "autograd/loss.h"
+#include "nn/optim.h"
 #include "tensor/check.h"
 
 namespace e2gcl {

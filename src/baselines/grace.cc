@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "nn/optim.h"
 #include "tensor/check.h"
 
 namespace e2gcl {

@@ -34,11 +34,20 @@ std::vector<Matrix> ParamSet::CloneValues() const {
   return out;
 }
 
-void ParamSet::LoadValues(const std::vector<Matrix>& values) {
-  E2GCL_CHECK(values.size() == params_.size());
+bool ParamSet::ShapesMatch(const std::vector<Matrix>& values) const {
+  if (values.size() != params_.size()) return false;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    E2GCL_CHECK(values[i].rows() == params_[i].value().rows() &&
-                values[i].cols() == params_[i].value().cols());
+    if (values[i].rows() != params_[i].value().rows() ||
+        values[i].cols() != params_[i].value().cols()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ParamSet::LoadValues(const std::vector<Matrix>& values) {
+  E2GCL_CHECK(ShapesMatch(values));
+  for (std::size_t i = 0; i < values.size(); ++i) {
     params_[i].mutable_value() = values[i];
   }
 }

@@ -36,6 +36,10 @@ class ParamSet {
   /// Deep copy of all parameter values (for snapshots / target networks).
   std::vector<Matrix> CloneValues() const;
 
+  /// True when `values` has one matrix per parameter, each of that
+  /// parameter's shape (what LoadValues requires).
+  bool ShapesMatch(const std::vector<Matrix>& values) const;
+
   /// Loads values cloned by CloneValues(); shapes must match.
   void LoadValues(const std::vector<Matrix>& values);
 

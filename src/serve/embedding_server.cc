@@ -239,34 +239,6 @@ TopKResponse EmbeddingServer::TopKSimilar(std::int64_t node, std::int64_t k,
   return response;
 }
 
-// --- Legacy blocking API. --------------------------------------------------
-
-std::vector<float> EmbeddingServer::GetEmbedding(std::int64_t node) {
-  EmbeddingResponse response = GetEmbedding(node, ServeRequestOptions{});
-  E2GCL_CHECK_MSG(response.status == ServeStatus::kOk,
-                  "EmbeddingServer::GetEmbedding rejected: %s",
-                  ServeStatusName(response.status));
-  return std::move(response.row);
-}
-
-float EmbeddingServer::ScoreLink(std::int64_t u, std::int64_t v) {
-  ScoreResponse response = ScoreLink(u, v, ServeRequestOptions{});
-  E2GCL_CHECK_MSG(response.status == ServeStatus::kOk,
-                  "EmbeddingServer::ScoreLink rejected: %s",
-                  ServeStatusName(response.status));
-  return response.score;
-}
-
-TopKResult EmbeddingServer::TopKSimilar(std::int64_t node, std::int64_t k) {
-  ServeRequestOptions exact;
-  exact.allow_degraded = false;
-  TopKResponse response = TopKSimilar(node, k, exact);
-  E2GCL_CHECK_MSG(response.status == ServeStatus::kOk,
-                  "EmbeddingServer::TopKSimilar rejected: %s",
-                  ServeStatusName(response.status));
-  return std::move(response.result);
-}
-
 // --- Hot reload. -----------------------------------------------------------
 
 ServeStatus EmbeddingServer::ReloadCheckpoint(const TrainerCheckpoint& ckpt,

@@ -161,14 +161,6 @@ class EmbeddingServer {
   TopKResponse TopKSimilar(std::int64_t node, std::int64_t k,
                            const ServeRequestOptions& request);
 
-  // --- Legacy blocking API (no deadline, exact-only, aborts on a
-  // rejected request — kept for callers from before the robustness
-  // layer; new code should use the status-typed calls). ---------------------
-
-  std::vector<float> GetEmbedding(std::int64_t node);
-  float ScoreLink(std::int64_t u, std::int64_t v);
-  TopKResult TopKSimilar(std::int64_t node, std::int64_t k);
-
   // --- Hot checkpoint reload. ----------------------------------------------
 
   /// Zero-downtime reload: validates `ckpt` with exactly the checks the

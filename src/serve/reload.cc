@@ -1,27 +1,10 @@
 #include "serve/reload.h"
 
 #include <utility>
-#include <vector>
 
 #include "serve/embedding_server.h"
 
 namespace e2gcl {
-
-namespace {
-
-bool ShapesMatch(const std::vector<Var>& params,
-                 const std::vector<Matrix>& values) {
-  if (params.size() != values.size()) return false;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (params[i].value().rows() != values[i].rows() ||
-        params[i].value().cols() != values[i].cols()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 std::shared_ptr<ModelState> BuildModelState(const Graph& graph,
                                             const TrainerCheckpoint& ckpt,
@@ -56,7 +39,7 @@ std::shared_ptr<ModelState> BuildModelState(const Graph& graph,
   }
   Rng rng(0);  // Initial weights are immediately overwritten.
   auto encoder = std::make_unique<GcnEncoder>(config, rng);
-  if (!ShapesMatch(encoder->params().params(), ckpt.encoder_params)) {
+  if (!encoder->params().ShapesMatch(ckpt.encoder_params)) {
     return fail("checkpoint encoder parameter shapes do not match the "
                 "encoder configuration");
   }

@@ -3,17 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <numeric>
 
 #include "core/raw_aggregation.h"
-#include "io/serialize.h"
 #include "obs/metrics.h"
-#include "obs/resource.h"
-#include "obs/run_report.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "tensor/check.h"
 
 namespace e2gcl {
@@ -23,15 +17,6 @@ namespace {
 double SecondsSince(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 std::uint64_t SplitMix64(std::uint64_t x) {
@@ -54,71 +39,23 @@ Rng DerivedRng(std::uint64_t seed, std::uint64_t stream, std::uint64_t a,
                                           (b * 0x9e3779b97f4a7c15ULL))));
 }
 
-const char* StatusName(TrainStatus status) {
-  switch (status) {
-    case TrainStatus::kOk:
-      return "ok";
-    case TrainStatus::kDiverged:
-      return "diverged";
-    case TrainStatus::kKilled:
-      return "killed";
-  }
-  return "unknown";
-}
-
-bool ShapesMatch(const std::vector<Var>& params,
-                 const std::vector<Matrix>& values) {
-  if (params.size() != values.size()) return false;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (params[i].value().rows() != values[i].rows() ||
-        params[i].value().cols() != values[i].cols()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 ShardedTrainer::ShardedTrainer(const Graph& graph,
                                const ShardedConfig& config)
-    : graph_(&graph), config_(config), rng_(config.base.seed) {
-  E2GCL_CHECK(graph.num_nodes > 1);
-  E2GCL_CHECK(!graph.features.empty());
+    : graph_(&graph),
+      config_(config),
+      loop_(config.base, graph.num_nodes, graph.feature_dim()) {
   E2GCL_CHECK(config.num_shards >= 1);
   resident_adj_ = std::make_unique<GraphAdjacency>(graph);
-  GcnConfig enc;
-  enc.dims.assign(config_.base.num_layers + 1, config_.base.hidden_dim);
-  enc.dims.front() = graph.feature_dim();
-  enc.dims.back() = config_.base.embed_dim;
-  enc.dropout = config_.base.dropout;
-  encoder_ = std::make_unique<GcnEncoder>(enc, rng_);
-  if (config_.base.projection_head) {
-    MlpConfig proj;
-    proj.dims = {config_.base.embed_dim, config_.base.embed_dim,
-                 config_.base.embed_dim};
-    projector_ = std::make_unique<Mlp>(proj, rng_);
-  }
 }
 
 ShardedTrainer::ShardedTrainer(const GraphStore& store,
                                const ShardedConfig& config)
-    : store_(&store), config_(config), rng_(config.base.seed) {
-  E2GCL_CHECK(store.num_nodes() > 1);
-  E2GCL_CHECK(store.feature_dim() > 0);
+    : store_(&store),
+      config_(config),
+      loop_(config.base, store.num_nodes(), store.feature_dim()) {
   E2GCL_CHECK(config.num_shards >= 1);
-  GcnConfig enc;
-  enc.dims.assign(config_.base.num_layers + 1, config_.base.hidden_dim);
-  enc.dims.front() = store.feature_dim();
-  enc.dims.back() = config_.base.embed_dim;
-  enc.dropout = config_.base.dropout;
-  encoder_ = std::make_unique<GcnEncoder>(enc, rng_);
-  if (config_.base.projection_head) {
-    MlpConfig proj;
-    proj.dims = {config_.base.embed_dim, config_.base.embed_dim,
-                 config_.base.embed_dim};
-    projector_ = std::make_unique<Mlp>(proj, rng_);
-  }
 }
 
 const AdjacencySource& ShardedTrainer::adj() const {
@@ -136,80 +73,21 @@ bool ShardedTrainer::MakeBall(int shard, ShardBall* ball) const {
 }
 
 std::uint64_t ShardedTrainer::ConfigFingerprint() const {
-  const E2gclConfig& b = config_.base;
-  ByteWriter w;
-  w.WriteU64(b.seed);
-  w.WriteI64(b.hidden_dim);
-  w.WriteI64(b.embed_dim);
-  w.WriteI64(b.num_layers);
-  w.WriteF32(b.dropout);
-  w.WriteF32(b.lr);
-  w.WriteF32(b.weight_decay);
-  w.WriteI64(b.batch_size);
-  w.WriteF32(b.temperature);
-  w.WriteU32(static_cast<std::uint32_t>(b.loss));
-  w.WriteU32(b.projection_head ? 1 : 0);
-  w.WriteU32(b.use_selector ? 1 : 0);
-  w.WriteF32(static_cast<float>(b.node_ratio));
-  w.WriteU32(b.use_coreset_weights ? 1 : 0);
   // Shard layout: a checkpoint from a different partitioning must be
   // refused even though parameter shapes would match.
-  w.WriteI64(config_.num_shards);
-  w.WriteI64(config_.halo_hops);
-  w.WriteI64(config_.refine_passes);
-  w.WriteF32(static_cast<float>(config_.balance_slack));
-  w.WriteI64(adj().num_nodes());
-  w.WriteI64(graph_ != nullptr ? graph_->feature_dim()
-                               : store_->feature_dim());
-  w.WriteI64(adj().nnz() / 2);
-  return Fnv1a(w.bytes());
-}
-
-TrainerCheckpoint ShardedTrainer::CaptureState(std::int64_t epoch,
-                                               const Adam& adam) const {
-  TrainerCheckpoint c;
-  c.epoch = epoch;
-  c.config_fingerprint = ConfigFingerprint();
-  c.retries_used = 0;
-  c.lr_scale = 1.0f;
-  c.rng_state = rng_.SerializeState();
-  c.encoder_params = encoder_->params().CloneValues();
-  if (projector_ != nullptr) {
-    c.projector_params = projector_->params().CloneValues();
-  }
-  AdamState state = adam.CloneState();
-  c.adam_m = std::move(state.m);
-  c.adam_v = std::move(state.v);
-  c.adam_t = state.t;
-  return c;
-}
-
-bool ShardedTrainer::RestoreState(const TrainerCheckpoint& ckpt, Adam& adam) {
-  if (!ShapesMatch(encoder_->params().params(), ckpt.encoder_params)) {
-    return false;
-  }
-  if (projector_ != nullptr) {
-    if (!ShapesMatch(projector_->params().params(), ckpt.projector_params)) {
-      return false;
-    }
-  } else if (!ckpt.projector_params.empty()) {
-    return false;
-  }
-  AdamState state;
-  state.m = ckpt.adam_m;
-  state.v = ckpt.adam_v;
-  state.t = ckpt.adam_t;
-  if (!rng_.RestoreState(ckpt.rng_state)) return false;
-  if (!adam.LoadState(state)) return false;
-  encoder_->params().LoadValues(ckpt.encoder_params);
-  if (projector_ != nullptr) {
-    projector_->params().LoadValues(ckpt.projector_params);
-  }
-  return true;
+  ByteWriter layout;
+  layout.WriteI64(config_.num_shards);
+  layout.WriteI64(config_.halo_hops);
+  layout.WriteI64(config_.refine_passes);
+  layout.WriteF32(static_cast<float>(config_.balance_slack));
+  layout.WriteI64(adj().num_nodes());
+  layout.WriteI64(graph_ != nullptr ? graph_->feature_dim()
+                                    : store_->feature_dim());
+  layout.WriteI64(adj().nnz() / 2);
+  return TrainFingerprint(config_.base, layout);
 }
 
 TrainResult ShardedTrainer::Train() {
-  const auto t0 = std::chrono::steady_clock::now();
   const std::int64_t n = adj().num_nodes();
   const E2gclConfig& base = config_.base;
   const int s = config_.num_shards;
@@ -219,202 +97,122 @@ TrainResult ShardedTrainer::Train() {
   static const Counter balls_counter = Counter::Get("shard.balls_built");
   static const Counter halo_counter = Counter::Get("shard.halo_nodes");
   static const Counter select_counter = Counter::Get("shard.select.runs");
-  static const Counter epochs_counter = Counter::Get("shard.train.epochs");
-  static const Counter resumes_counter = Counter::Get("shard.resumes");
 
-  const MetricsSnapshot metrics_baseline = MetricsRegistry::Get().Snapshot();
-  std::vector<RunReport::Epoch> epoch_records;
-
-  auto finish = [&](TrainResult result) {
-    stats_.total_seconds = SecondsSince(t0);
-    RecordPeakRssGauge();
-    std::string report_path = base.report_path;
-    if (report_path.empty() && !base.checkpoint_dir.empty()) {
-      report_path = base.checkpoint_dir + "/run_report.json";
-    }
-    if (!report_path.empty()) {
-      RunReport report;
-      char fp[24];
-      std::snprintf(fp, sizeof(fp), "%016llx",
-                    static_cast<unsigned long long>(ConfigFingerprint()));
-      report.config_fingerprint = fp;
-      report.seed = base.seed;
-      report.threads = GetNumThreads();
-      report.status = StatusName(result.status);
-      report.resumed = result.resumed;
-      report.start_epoch = result.start_epoch;
-      report.retries_used = result.retries_used;
-      report.selection_seconds = stats_.selection_seconds;
-      report.total_seconds = stats_.total_seconds;
-      report.epochs = epoch_records;
-      for (const TrainEvent& e : result.events) {
-        report.events.push_back(
-            {TrainEventKindName(e.kind), e.epoch, e.detail});
-      }
-      report.metrics =
-          MetricsRegistry::Get().Snapshot().DeltaFrom(metrics_baseline);
-      report.spans = TraceRegistry::Get().Snapshot();
-      if (!SaveRunReport(report_path, report)) {
-        std::fprintf(stderr,
-                     "[e2gcl] warning: failed to write run report %s\n",
-                     report_path.c_str());
-      }
-    }
-    return result;
-  };
-
-  TrainResult result;
-
-  // --- Partition. --------------------------------------------------------
-  {
-    TraceSpan span("shard.partition");
-    PartitionOptions popts;
-    popts.num_shards = s;
-    popts.refine_passes = config_.refine_passes;
-    popts.balance_slack = config_.balance_slack;
-    popts.seed = base.seed;
-    partition_ = PartitionGraph(adj(), popts);
-    Gauge::Get("shard.partition.cut_edges").Set(partition_.cut_edges);
-  }
-
-  // --- Per-shard selection + deterministic merge (shard-ascending). ------
-  std::vector<std::int64_t> core_sizes(s);
-  for (int i = 0; i < s; ++i) {
-    core_sizes[i] =
-        static_cast<std::int64_t>(partition_.shard_nodes[i].size());
-  }
-  // Per-shard training pools in ball-core-local indices + their weights.
+  // Per-shard training pools in ball-core-local indices + their weights,
+  // and the fixed per-shard batch sizes.
   std::vector<std::vector<std::int64_t>> pool_core(s);
   std::vector<std::vector<float>> pool_weights(s);
-  shard_selections_.assign(s, {});
-  if (base.use_selector) {
-    const std::int64_t k_total = std::min<std::int64_t>(
-        std::max<std::int64_t>(
-            2, static_cast<std::int64_t>(std::llround(base.node_ratio *
-                                                      static_cast<double>(n)))),
-        n);
-    const std::vector<std::int64_t> budgets =
-        ApportionBudget(k_total, core_sizes);
-    for (int shard = 0; shard < s; ++shard) {
-      if (budgets[shard] <= 0) continue;
-      TraceSpan span("shard.select");
-      Matrix r_core;
-      {
-        // Scoped so the ball and the full-ball aggregation are gone
-        // before the selector's clustering allocates.
-        ShardBall ball;
-        const bool ok = MakeBall(shard, &ball);
-        E2GCL_CHECK_MSG(ok, "shard ball load failed");
-        balls_counter.Increment();
-        halo_counter.Add(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(ball.nodes.size()) - ball.num_core));
-        Matrix r_ball = RawAggregation(ball.graph, base.num_layers);
-        // Free the ball before gathering core rows: the ball graph is
-        // the largest selection-phase allocation and the gather only
-        // needs r_ball plus the core index list.
-        const std::vector<std::int64_t> core_local =
-            std::move(ball.core_local);
-        ball = ShardBall();
-        r_core = GatherRows(r_ball, core_local);
-      }
-      SelectorConfig sel = base.selector;
-      sel.budget = budgets[shard];
-      Rng sel_rng = DerivedRng(base.seed, kSelectStream, 0,
-                               static_cast<std::uint64_t>(shard));
-      shard_selections_[shard] = SelectCoreset(r_core, sel, sel_rng);
-      select_counter.Increment();
-      pool_core[shard] = shard_selections_[shard].nodes;
-      pool_weights[shard] = shard_selections_[shard].weights;
-    }
-    selection_ =
-        MergeShardSelections(shard_selections_, partition_.shard_nodes);
-    stats_.selection_seconds = selection_.seconds;
-  } else {
-    for (int shard = 0; shard < s; ++shard) {
-      pool_core[shard].resize(core_sizes[shard]);
-      std::iota(pool_core[shard].begin(), pool_core[shard].end(), 0);
-      pool_weights[shard].assign(core_sizes[shard], 1.0f);
-    }
-  }
-
-  // --- Optimizer over the global model. ----------------------------------
-  std::vector<Var> params;
-  for (const Var& p : encoder_->params().params()) params.push_back(p);
-  if (projector_ != nullptr) {
-    for (const Var& p : projector_->params().params()) params.push_back(p);
-  }
-  Adam::Options opts;
-  opts.lr = base.lr;
-  opts.weight_decay = base.weight_decay;
-  Adam adam(params, opts);
-
-  // Per-epoch batch apportioning over the shard pools: fixed for the
-  // whole run, so every epoch contrasts the same per-shard batch sizes.
-  std::vector<std::int64_t> pool_sizes(s);
-  std::int64_t total_pool = 0;
-  for (int i = 0; i < s; ++i) {
-    pool_sizes[i] = static_cast<std::int64_t>(pool_core[i].size());
-    total_pool += pool_sizes[i];
-  }
-  std::vector<std::int64_t> batch_parts = ApportionBudget(
-      std::min<std::int64_t>(base.batch_size, total_pool), pool_sizes);
-  // InfoNCE needs at least two rows to contrast; a shard apportioned
-  // fewer sits the run out and the weights renormalize over the rest.
+  std::vector<std::int64_t> batch_parts;
   std::int64_t batch_total = 0;
-  for (int i = 0; i < s; ++i) {
-    if (batch_parts[i] < 2) batch_parts[i] = 0;
-    batch_total += batch_parts[i];
-  }
-  if (batch_total == 0) {
-    result.status = TrainStatus::kDiverged;
-    result.message = "no shard has a trainable batch (pool too small)";
-    return finish(std::move(result));
-  }
 
-  TrainerCheckpoint rollback = CaptureState(-1, adam);
-  const bool checkpointing = !base.checkpoint_dir.empty();
-  if (checkpointing) {
-    E2GCL_CHECK(base.checkpoint_every >= 1);
-    E2GCL_CHECK(base.checkpoint_keep >= 1);
-    std::error_code ec;
-    std::filesystem::create_directories(base.checkpoint_dir, ec);
-    if (base.resume) {
-      TrainerCheckpoint ckpt;
-      std::string from;
-      if (FindNewestValidCheckpoint(base.checkpoint_dir, ConfigFingerprint(),
-                                    &ckpt, &from)) {
-        if (RestoreState(ckpt, adam)) {
-          result.resumed = true;
-          result.start_epoch = static_cast<int>(ckpt.epoch) + 1;
-          resumes_counter.Increment();
-          result.events.push_back({TrainEvent::Kind::kResume,
-                                   static_cast<int>(ckpt.epoch),
-                                   "resumed from " + from});
-          rollback = std::move(ckpt);
-        } else {
-          std::fprintf(stderr,
-                       "[e2gcl] warning: checkpoint %s does not match the "
-                       "current sharded model; starting fresh\n",
-                       from.c_str());
+  TrainLoop::Spec spec;
+  spec.epoch_span = "shard.epoch";
+  spec.fingerprint = ConfigFingerprint();
+  spec.prepare = [&]() -> std::string {
+    // --- Partition. ------------------------------------------------------
+    {
+      TraceSpan span("shard.partition");
+      PartitionOptions popts;
+      popts.num_shards = s;
+      popts.refine_passes = config_.refine_passes;
+      popts.balance_slack = config_.balance_slack;
+      popts.seed = base.seed;
+      partition_ = PartitionGraph(adj(), popts);
+      Gauge::Get("shard.partition.cut_edges").Set(partition_.cut_edges);
+    }
+
+    // --- Per-shard selection + deterministic merge (shard-ascending). ----
+    std::vector<std::int64_t> core_sizes(s);
+    for (int i = 0; i < s; ++i) {
+      core_sizes[i] =
+          static_cast<std::int64_t>(partition_.shard_nodes[i].size());
+    }
+    shard_selections_.assign(s, {});
+    if (base.use_selector) {
+      const std::int64_t k_total = std::min<std::int64_t>(
+          std::max<std::int64_t>(
+              2, static_cast<std::int64_t>(std::llround(
+                     base.node_ratio * static_cast<double>(n)))),
+          n);
+      const std::vector<std::int64_t> budgets =
+          ApportionBudget(k_total, core_sizes);
+      for (int shard = 0; shard < s; ++shard) {
+        if (budgets[shard] <= 0) continue;
+        TraceSpan span("shard.select");
+        Matrix r_core;
+        {
+          // Scoped so the ball and the full-ball aggregation are gone
+          // before the selector's clustering allocates.
+          ShardBall ball;
+          const bool ok = MakeBall(shard, &ball);
+          E2GCL_CHECK_MSG(ok, "shard ball load failed");
+          balls_counter.Increment();
+          halo_counter.Add(static_cast<std::uint64_t>(
+              static_cast<std::int64_t>(ball.nodes.size()) - ball.num_core));
+          Matrix r_ball = RawAggregation(ball.graph, base.num_layers);
+          // Free the ball before gathering core rows: the ball graph is
+          // the largest selection-phase allocation and the gather only
+          // needs r_ball plus the core index list.
+          const std::vector<std::int64_t> core_local =
+              std::move(ball.core_local);
+          ball = ShardBall();
+          r_core = GatherRows(r_ball, core_local);
         }
+        SelectorConfig sel = base.selector;
+        sel.budget = budgets[shard];
+        Rng sel_rng = DerivedRng(base.seed, kSelectStream, 0,
+                                 static_cast<std::uint64_t>(shard));
+        shard_selections_[shard] = SelectCoreset(r_core, sel, sel_rng);
+        select_counter.Increment();
+        pool_core[shard] = shard_selections_[shard].nodes;
+        pool_weights[shard] = shard_selections_[shard].weights;
+      }
+      selection_ =
+          MergeShardSelections(shard_selections_, partition_.shard_nodes);
+      loop_.stats().selection_seconds = selection_.seconds;
+    } else {
+      for (int shard = 0; shard < s; ++shard) {
+        pool_core[shard].resize(core_sizes[shard]);
+        std::iota(pool_core[shard].begin(), pool_core[shard].end(), 0);
+        pool_weights[shard].assign(core_sizes[shard], 1.0f);
       }
     }
-  }
 
-  // --- Epoch loop: serial shard sweep, one Adam step per epoch. ----------
-  for (int epoch = result.start_epoch; epoch < base.epochs; ++epoch) {
-    TraceSpan epoch_span("shard.epoch");
-    RunReport::Epoch record;
-    record.epoch = epoch;
+    // Per-epoch batch apportioning over the shard pools: fixed for the
+    // whole run, so every epoch contrasts the same per-shard batch sizes.
+    std::vector<std::int64_t> pool_sizes(s);
+    std::int64_t total_pool = 0;
+    for (int i = 0; i < s; ++i) {
+      pool_sizes[i] = static_cast<std::int64_t>(pool_core[i].size());
+      total_pool += pool_sizes[i];
+    }
+    batch_parts = ApportionBudget(
+        std::min<std::int64_t>(base.batch_size, total_pool), pool_sizes);
+    // InfoNCE needs at least two rows to contrast; a shard apportioned
+    // fewer sits the run out and the weights renormalize over the rest.
+    for (int i = 0; i < s; ++i) {
+      if (batch_parts[i] < 2) batch_parts[i] = 0;
+      batch_total += batch_parts[i];
+    }
+    if (batch_total == 0) {
+      return "no shard has a trainable batch (pool too small)";
+    }
+    return {};
+  };
+
+  // --- Epoch body: serial shard sweep into one Adam step per epoch. ------
+  spec.epoch = [&](int epoch, std::int64_t retries, RunReport::Epoch& record) {
     // Gradients are zeroed once per epoch; each shard's Backward()
     // accumulates into the shared leaf gradients in shard-ascending
     // order (the serial loop IS the deterministic reduction).
-    adam.ZeroGrad();
+    loop_.ZeroGrad();
+    const std::uint64_t seed = RetrySeed(base.seed, retries);
+    GcnEncoder& encoder = loop_.encoder();
+    Mlp* projector = loop_.projector();
     double loss_sum = 0.0;
-
     for (int shard = 0; shard < s; ++shard) {
       if (batch_parts[shard] == 0) continue;
-      Rng erng = DerivedRng(base.seed, kEpochStream,
+      Rng erng = DerivedRng(seed, kEpochStream,
                             static_cast<std::uint64_t>(epoch),
                             static_cast<std::uint64_t>(shard));
       ShardBall ball;
@@ -423,7 +221,7 @@ TrainResult ShardedTrainer::Train() {
       balls_counter.Increment();
 
       // Sample this shard's batch from its pool (ball-local core ids).
-      const std::int64_t pool = pool_sizes[shard];
+      const auto pool = static_cast<std::int64_t>(pool_core[shard].size());
       const std::int64_t k = batch_parts[shard];
       std::vector<std::int64_t> batch_local;
       std::vector<float> batch_weights;
@@ -475,19 +273,18 @@ TrainResult ShardedTrainer::Train() {
       auto adj_tilde =
           std::make_shared<const CsrMatrix>(NormalizedAdjacency(view_tilde));
       record.view_seconds += SecondsSince(tv);
-      stats_.view_seconds += SecondsSince(tv);
 
       const auto tl = std::chrono::steady_clock::now();
       Var x_hat = Var::Constant(view_hat.features);
       Var x_tilde = Var::Constant(view_tilde.features);
-      Var h_hat = encoder_->Forward(adj_hat, x_hat, erng, /*training=*/true);
+      Var h_hat = encoder.Forward(adj_hat, x_hat, erng, /*training=*/true);
       Var h_tilde =
-          encoder_->Forward(adj_tilde, x_tilde, erng, /*training=*/true);
+          encoder.Forward(adj_tilde, x_tilde, erng, /*training=*/true);
       Var z_hat = ag::GatherRows(h_hat, batch_sub);
       Var z_tilde = ag::GatherRows(h_tilde, batch_sub);
-      if (projector_ != nullptr) {
-        z_hat = projector_->Forward(z_hat, erng, /*training=*/true);
-        z_tilde = projector_->Forward(z_tilde, erng, /*training=*/true);
+      if (projector != nullptr) {
+        z_hat = projector->Forward(z_hat, erng, /*training=*/true);
+        z_tilde = projector->Forward(z_tilde, erng, /*training=*/true);
       }
       Var loss = ComputeContrastiveLoss(base.loss, z_hat, z_tilde,
                                         base.temperature, erng,
@@ -503,61 +300,9 @@ TrainResult ShardedTrainer::Train() {
       record.loss_seconds += SecondsSince(tl);
       shard_epochs_counter.Increment();
     }
-
-    // Single optimizer step per epoch over the accumulated gradients.
-    const auto ts = std::chrono::steady_clock::now();
-    adam.Step();
-    record.step_seconds = SecondsSince(ts);
-
-    bool params_finite = true;
-    for (const Var& p : params) {
-      if (!AllFinite(p.value())) {
-        params_finite = false;
-        break;
-      }
-    }
-    if (!std::isfinite(loss_sum) || !params_finite) {
-      RestoreState(rollback, adam);
-      result.status = TrainStatus::kDiverged;
-      char msg[128];
-      std::snprintf(msg, sizeof(msg),
-                    "non-finite loss/parameters at epoch %d", epoch);
-      result.message = msg;
-      result.events.push_back(
-          {TrainEvent::Kind::kDiverged, epoch, result.message});
-      return finish(std::move(result));
-    }
-
-    stats_.epochs_run = epoch + 1;
-    epochs_counter.Increment();
-    RecordPeakRssGauge();
-
-    if (checkpointing && ((epoch + 1) % base.checkpoint_every == 0 ||
-                          epoch + 1 == base.epochs)) {
-      const auto tc = std::chrono::steady_clock::now();
-      TrainerCheckpoint ckpt = CaptureState(epoch, adam);
-      const std::string path = CheckpointPath(base.checkpoint_dir, epoch);
-      if (SaveTrainerCheckpoint(path, ckpt)) {
-        PruneCheckpoints(base.checkpoint_dir, base.checkpoint_keep);
-        rollback = std::move(ckpt);
-        result.events.push_back(
-            {TrainEvent::Kind::kCheckpointWrite, epoch, path});
-      } else {
-        result.events.push_back(
-            {TrainEvent::Kind::kCheckpointWriteFailure, epoch, path});
-        std::fprintf(stderr,
-                     "[e2gcl] warning: failed to write checkpoint %s\n",
-                     path.c_str());
-      }
-      record.checkpoint_seconds = SecondsSince(tc);
-    }
-
-    record.loss = loss_sum;
-    record.counters =
-        MetricsRegistry::Get().Snapshot().DeltaFrom(metrics_baseline).counters;
-    epoch_records.push_back(std::move(record));
-  }
-  return finish(std::move(result));
+    return loss_sum;
+  };
+  return loop_.Run(spec);
 }
 
 }  // namespace e2gcl

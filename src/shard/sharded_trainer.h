@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/trainer.h"
+#include "core/train_loop.h"
 #include "shard/graph_store.h"
 #include "shard/halo.h"
 #include "shard/partition.h"
@@ -14,12 +14,10 @@ namespace e2gcl {
 
 /// Partition-parallel, out-of-core-capable E2GCL pre-training.
 struct ShardedConfig {
-  /// The underlying pipeline configuration. Honored fields: selector,
-  /// view, encoder/optimizer, epochs/batch_size/seed, checkpointing
-  /// (checkpoint_dir/every/keep/resume, report_path). The resident
-  /// trainer's retry/fault-injection machinery is not replicated here —
-  /// a non-finite epoch fails fast with kDiverged after restoring the
-  /// last finite state.
+  /// The underlying pipeline configuration. Every field is honored
+  /// through the shared TrainLoop — checkpointing, the health guard with
+  /// its retries, clipping and fault injection included — except
+  /// external_selector: shards always select with Alg. 2.
   E2gclConfig base;
   int num_shards = 2;
   /// Halo rings around each shard core (see DESIGN.md "Sharded &
@@ -47,8 +45,9 @@ struct ShardedConfig {
 ///    (L+1)-hop ball inside the shard ball; per-shard losses are
 ///    weighted by their batch share and gradients accumulate in shard
 ///    order into a single Adam step per epoch.
-///  * Because all randomness is derived per (epoch, shard), a resume
-///    needs only parameters + Adam state + the epoch index; it rides
+///  * Because all randomness is derived per (epoch, shard) from
+///    RetrySeed(seed, retries), a resume needs only parameters + Adam
+///    state + the epoch index + the retry count; it rides
 ///    TrainerCheckpoint unchanged and is bit-identical to an
 ///    uninterrupted run.
 class ShardedTrainer {
@@ -63,8 +62,8 @@ class ShardedTrainer {
   /// Partition + per-shard selection + epoch loop. Safe to call once.
   TrainResult Train();
 
-  const GcnEncoder& encoder() const { return *encoder_; }
-  GcnEncoder& encoder() { return *encoder_; }
+  const GcnEncoder& encoder() const { return loop_.encoder(); }
+  GcnEncoder& encoder() { return loop_.encoder(); }
   const Partition& partition() const { return partition_; }
   /// Merged global selection (empty nodes when use_selector is false).
   const SelectionResult& selection() const { return selection_; }
@@ -72,7 +71,7 @@ class ShardedTrainer {
   const std::vector<SelectionResult>& shard_selections() const {
     return shard_selections_;
   }
-  const E2gclStats& stats() const { return stats_; }
+  const E2gclStats& stats() const { return loop_.stats(); }
   const ShardedConfig& config() const { return config_; }
 
   /// Extends the resident trainer's fingerprint with the shard layout
@@ -83,20 +82,15 @@ class ShardedTrainer {
  private:
   const AdjacencySource& adj() const;
   bool MakeBall(int shard, ShardBall* ball) const;
-  TrainerCheckpoint CaptureState(std::int64_t epoch, const Adam& adam) const;
-  bool RestoreState(const TrainerCheckpoint& ckpt, Adam& adam);
 
   const Graph* graph_ = nullptr;
   const GraphStore* store_ = nullptr;
   std::unique_ptr<GraphAdjacency> resident_adj_;
   ShardedConfig config_;
-  std::unique_ptr<GcnEncoder> encoder_;
-  std::unique_ptr<Mlp> projector_;
+  TrainLoop loop_;
   Partition partition_;
   std::vector<SelectionResult> shard_selections_;
   SelectionResult selection_;
-  E2gclStats stats_;
-  Rng rng_;
 };
 
 }  // namespace e2gcl

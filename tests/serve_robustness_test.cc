@@ -28,6 +28,7 @@
 #include "serve/embedding_server.h"
 #include "serve/quantized_table.h"
 #include "serve/serve_status.h"
+#include "serve_test_util.h"
 #include "tensor/simd/simd.h"
 
 namespace e2gcl {
@@ -129,7 +130,7 @@ TEST(ServeDeadline, ExpiresFastWhileFlusherIsStalled) {
   opt.fault_injector.stall_batch = [&](std::int64_t) { gate.Block(); };
   auto server = MakeServer(g, ckpt, opt);
 
-  std::thread blocker([&] { server->GetEmbedding(0); });
+  std::thread blocker([&] { ServedRow(*server, 0); });
   gate.AwaitBlocked();
 
   // The flusher is provably wedged; a deadlined request must still
@@ -167,7 +168,7 @@ TEST(ServeDeadline, AbandonedRequestIsDiscardedWithoutBlockingOthers) {
   auto server = MakeServer(g, ckpt, opt);
   const Matrix ref = ReferenceEmbeddings(g, ckpt);
 
-  std::thread blocker([&] { server->GetEmbedding(0); });
+  std::thread blocker([&] { ServedRow(*server, 0); });
   gate.AwaitBlocked();
 
   // Expire a queued request, then release: the flusher must skip the
@@ -196,7 +197,7 @@ TEST(ServeAdmission, RejectsAtMaxQueueDepthWatermark) {
   opt.fault_injector.stall_batch = [&](std::int64_t) { gate.Block(); };
   auto server = MakeServer(g, ckpt, opt);
 
-  std::thread blocker([&] { server->GetEmbedding(0); });
+  std::thread blocker([&] { ServedRow(*server, 0); });
   gate.AwaitBlocked();
   // Saturate the queue behind the wedged flusher.
   std::vector<std::thread> queued;
@@ -234,9 +235,9 @@ TEST(ServeAdmission, DegradesTopKUnderPressureToExactApproximateScan) {
   const Matrix ref = ReferenceEmbeddings(g, ckpt);
   const std::shared_ptr<const ModelState> state = server->state();
 
-  std::thread blocker([&] { server->GetEmbedding(0); });
+  std::thread blocker([&] { ServedRow(*server, 0); });
   gate.AwaitBlocked();
-  std::thread queued([&] { server->GetEmbedding(1); });
+  std::thread queued([&] { ServedRow(*server, 1); });
   AwaitQueueDepth(*server, 1);
 
   // Admitted at queue depth 1 >= degrade_watermark: served approximate.
@@ -304,9 +305,9 @@ TEST(ServeAdmission, DegradationRespectsAllowDegradedFalse) {
   opt.fault_injector.stall_batch = [&](std::int64_t) { gate.Block(); };
   auto server = MakeServer(g, ckpt, opt);
 
-  std::thread blocker([&] { server->GetEmbedding(0); });
+  std::thread blocker([&] { ServedRow(*server, 0); });
   gate.AwaitBlocked();
-  std::thread queued([&] { server->GetEmbedding(1); });
+  std::thread queued([&] { ServedRow(*server, 1); });
   AwaitQueueDepth(*server, 1);
 
   ServeRequestOptions exact_only;
@@ -447,16 +448,16 @@ TEST(ServeCorruption, CorruptedCacheRowIsDetectedAndRecomputed) {
   const std::shared_ptr<const ModelState> state = server->state();
 
   // First serve computed the row before the cached copy was corrupted.
-  EXPECT_EQ(server->GetEmbedding(9), RowOf(ref, 9));
+  EXPECT_EQ(ServedRow(*server, 9), RowOf(ref, 9));
   EXPECT_EQ(state->cache->corrupt_dropped(), 0u);
 
   // Second serve hits the poisoned entry: the checksum drops it and the
   // recompute self-repairs — the caller still gets the exact row.
-  EXPECT_EQ(server->GetEmbedding(9), RowOf(ref, 9));
+  EXPECT_EQ(ServedRow(*server, 9), RowOf(ref, 9));
   EXPECT_EQ(state->cache->corrupt_dropped(), 1u);
 
   // Third serve is a clean cache hit of the repaired entry.
-  EXPECT_EQ(server->GetEmbedding(9), RowOf(ref, 9));
+  EXPECT_EQ(ServedRow(*server, 9), RowOf(ref, 9));
   EXPECT_EQ(state->cache->corrupt_dropped(), 1u);
 }
 
@@ -473,7 +474,7 @@ TEST(ServeShutdown, DrainsQueuedRequestsAndRejectsNewOnes) {
   const Matrix ref = ReferenceEmbeddings(g, ckpt);
 
   std::thread blocker([&] {
-    EXPECT_EQ(server->GetEmbedding(0), RowOf(ref, 0));
+    EXPECT_EQ(ServedRow(*server, 0), RowOf(ref, 0));
   });
   gate.AwaitBlocked();
   std::vector<std::thread> queued;
@@ -508,7 +509,7 @@ TEST(ServeShutdown, DestructorNeverBlocksOnQueuedCallers) {
   opt.fault_injector.stall_batch = [&](std::int64_t) { gate.Block(); };
   auto server = MakeServer(g, ckpt, opt);
 
-  std::thread blocker([&] { server->GetEmbedding(0); });
+  std::thread blocker([&] { ServedRow(*server, 0); });
   gate.AwaitBlocked();
   std::thread queued([&] {
     EXPECT_TRUE(ServeStatusServed(
@@ -592,7 +593,7 @@ TEST(ServeReload, InFlightRequestsStayPinnedToAdmissionGeneration) {
   };
   auto server = MakeServer(g, ckpt_a, opt);
 
-  std::thread blocker([&] { server->GetEmbedding(0); });
+  std::thread blocker([&] { ServedRow(*server, 0); });
   flusher_gate.AwaitBlocked();
   // Admitted under generation 1, still queued when the swap happens.
   std::thread pinned([&] {
@@ -638,7 +639,7 @@ TEST(ServeReload, RejectsInvalidCheckpointWithoutTouchingServing) {
             ServeStatus::kInvalidArgument);
   EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
   EXPECT_EQ(server->generation(), 1u);
-  EXPECT_EQ(server->GetEmbedding(12), RowOf(ref, 12));
+  EXPECT_EQ(ServedRow(*server, 12), RowOf(ref, 12));
 
   // A second, valid reload still goes through (the gate was released).
   TrainerCheckpoint good = MakeCheckpoint(g, /*seed=*/11);

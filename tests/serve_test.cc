@@ -24,6 +24,7 @@
 #include "serve/embedding_server.h"
 #include "serve/lru_cache.h"
 #include "serve/quantized_table.h"
+#include "serve_test_util.h"
 #include "tensor/simd/simd.h"
 
 namespace e2gcl {
@@ -185,8 +186,8 @@ TEST(EmbeddingServer, ColdCachedSoloAndBatchedRowsAreBitIdentical) {
     auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
     ASSERT_NE(server, nullptr) << error;
     for (std::int64_t node : {0, 17, 64, 119}) {
-      const std::vector<float> cold = server->GetEmbedding(node);
-      const std::vector<float> cached = server->GetEmbedding(node);
+      const std::vector<float> cold = ServedRow(*server, node);
+      const std::vector<float> cached = ServedRow(*server, node);
       EXPECT_EQ(cold, RowOf(reference, node))
           << "precompute=" << precompute << " node=" << node;
       EXPECT_EQ(cold, cached);
@@ -204,7 +205,7 @@ TEST(EmbeddingServer, ColdCachedSoloAndBatchedRowsAreBitIdentical) {
   std::vector<std::vector<float>> rows(static_cast<std::size_t>(g.num_nodes));
   for (std::int64_t node = 0; node < g.num_nodes; ++node) {
     clients.emplace_back(
-        [&, node] { rows[node] = server->GetEmbedding(node); });
+        [&, node] { rows[node] = ServedRow(*server, node); });
   }
   for (std::thread& t : clients) t.join();
   for (std::int64_t node = 0; node < g.num_nodes; ++node) {
@@ -229,7 +230,7 @@ TEST(EmbeddingServer, BitIdenticalAtAllThreadCounts) {
       auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
       ASSERT_NE(server, nullptr) << error;
       for (std::int64_t node : {2, 59, 113}) {
-        EXPECT_EQ(server->GetEmbedding(node), RowOf(reference, node))
+        EXPECT_EQ(ServedRow(*server, node), RowOf(reference, node))
             << "threads=" << threads << " precompute=" << precompute;
       }
     }
@@ -254,7 +255,7 @@ TEST(EmbeddingServer, ScoreLinkEqualsDotOfEmbeddingRows) {
     // AVX2 backend (per-build-config determinism contract).
     const float expected =
         simd::Dot(reference.RowPtr(u), reference.RowPtr(v), reference.cols());
-    EXPECT_EQ(server->ScoreLink(u, v), expected) << u << "," << v;
+    EXPECT_EQ(ServedScore(*server, u, v), expected) << u << "," << v;
   }
 }
 
@@ -269,7 +270,7 @@ TEST(EmbeddingServer, TopKSimilarMatchesBruteForceAndExcludesSelf) {
 
   const std::int64_t query = 31;
   const std::int64_t k = 5;
-  TopKResult got = server->TopKSimilar(query, k);
+  TopKResult got = ServedExactTopK(*server, query, k);
   ASSERT_EQ(got.nodes.size(), static_cast<std::size_t>(k));
   ASSERT_EQ(got.scores.size(), static_cast<std::size_t>(k));
 
@@ -296,7 +297,7 @@ TEST(EmbeddingServer, TopKSimilarMatchesBruteForceAndExcludesSelf) {
   pre.precompute = true;
   auto server2 = EmbeddingServer::FromCheckpoint(g, ckpt, pre, &error);
   ASSERT_NE(server2, nullptr) << error;
-  TopKResult got2 = server2->TopKSimilar(query, k);
+  TopKResult got2 = ServedExactTopK(*server2, query, k);
   EXPECT_EQ(got.nodes, got2.nodes);
   EXPECT_EQ(got.scores, got2.scores);
 }
@@ -364,8 +365,8 @@ TEST(EmbeddingServer, QuantizedTopKWithRescoreMatchesFp32Exactly) {
   // here (the true top-k comfortably survives into the k*4 candidate
   // pool on this fixture).
   for (std::int64_t query : {0L, 17L, 31L, 64L, 119L}) {
-    const TopKResult want = exact_server->TopKSimilar(query, 5);
-    const TopKResult got = quant_server->TopKSimilar(query, 5);
+    const TopKResult want = ServedExactTopK(*exact_server, query, 5);
+    const TopKResult got = ServedExactTopK(*quant_server, query, 5);
     EXPECT_EQ(got.nodes, want.nodes) << "query " << query;
     EXPECT_EQ(got.scores, want.scores) << "query " << query;
   }
@@ -383,7 +384,7 @@ TEST(EmbeddingServer, QuantizedTopKWithoutRescoreRanksByApproxScores) {
   ASSERT_NE(server, nullptr) << error;
 
   const std::int64_t query = 31;
-  const TopKResult got = server->TopKSimilar(query, 5);
+  const TopKResult got = ServedExactTopK(*server, query, 5);
   ASSERT_EQ(got.nodes.size(), 5u);
   // Reproduce the approximate scan out-of-process.
   const QuantizedEmbeddingTable table = QuantizedEmbeddingTable::Build(
@@ -415,8 +416,8 @@ TEST(EmbeddingServer, QuantizedModeKeepsEmbeddingAndScoreExact) {
   std::string error;
   auto server = EmbeddingServer::FromCheckpoint(g, ckpt, quant, &error);
   ASSERT_NE(server, nullptr) << error;
-  EXPECT_EQ(server->GetEmbedding(42), RowOf(reference, 42));
-  EXPECT_EQ(server->ScoreLink(3, 99),
+  EXPECT_EQ(ServedRow(*server, 42), RowOf(reference, 42));
+  EXPECT_EQ(ServedScore(*server, 3, 99),
             simd::Dot(reference.RowPtr(3), reference.RowPtr(99),
                       reference.cols()));
 }
@@ -432,7 +433,7 @@ TEST(EmbeddingServer, DeadlineFlushesPartialBatch) {
   auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
   ASSERT_NE(server, nullptr) << error;
   const Matrix reference = ReferenceEmbeddings(g, ckpt);
-  EXPECT_EQ(server->GetEmbedding(42), RowOf(reference, 42));
+  EXPECT_EQ(ServedRow(*server, 42), RowOf(reference, 42));
 }
 
 TEST(EmbeddingServer, FullBatchFlushesBeforeDeadline) {
@@ -451,7 +452,7 @@ TEST(EmbeddingServer, FullBatchFlushesBeforeDeadline) {
   std::vector<std::thread> clients;
   std::vector<std::vector<float>> rows(8);
   for (int i = 0; i < 8; ++i) {
-    clients.emplace_back([&, i] { rows[i] = server->GetEmbedding(i * 13); });
+    clients.emplace_back([&, i] { rows[i] = ServedRow(*server, i * 13); });
   }
   for (std::thread& t : clients) t.join();
   for (int i = 0; i < 8; ++i) {
@@ -475,7 +476,7 @@ TEST(EmbeddingServer, LruCacheEvictsButServesCorrectRows) {
   // correct through evictions and recomputation.
   for (int pass = 0; pass < 2; ++pass) {
     for (std::int64_t node = 0; node < 32; ++node) {
-      EXPECT_EQ(server->GetEmbedding(node), RowOf(reference, node))
+      EXPECT_EQ(ServedRow(*server, node), RowOf(reference, node))
           << "pass=" << pass << " node=" << node;
     }
   }
@@ -507,7 +508,7 @@ TEST(EmbeddingServer, ConcurrentMixedClientsSeeConsistentResults) {
         const std::int64_t other = rng.UniformInt(g.num_nodes);
         switch (q % 3) {
           case 0: {
-            if (server->GetEmbedding(node) != RowOf(reference, node)) {
+            if (ServedRow(*server, node) != RowOf(reference, node)) {
               ++failures[c];
             }
             break;
@@ -516,11 +517,11 @@ TEST(EmbeddingServer, ConcurrentMixedClientsSeeConsistentResults) {
             const float expected = simd::Dot(
                 reference.RowPtr(node), reference.RowPtr(other),
                 reference.cols());
-            if (server->ScoreLink(node, other) != expected) ++failures[c];
+            if (ServedScore(*server, node, other) != expected) ++failures[c];
             break;
           }
           default: {
-            TopKResult r = server->TopKSimilar(node, 3);
+            TopKResult r = ServedExactTopK(*server, node, 3);
             if (r.nodes.size() != 3u) ++failures[c];
             break;
           }
@@ -545,8 +546,8 @@ TEST(EmbeddingServer, RecordsCacheAndBatchMetrics) {
     std::string error;
     auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
     ASSERT_NE(server, nullptr) << error;
-    server->GetEmbedding(1);  // cold: miss + compute
-    server->GetEmbedding(1);  // hot: hit
+    ServedRow(*server, 1);  // cold: miss + compute
+    ServedRow(*server, 1);  // hot: hit
   }
   const MetricsSnapshot snap = MetricsRegistry::Get().Snapshot();
   EXPECT_EQ(snap.counter("serve.requests"), 2u);
@@ -589,7 +590,7 @@ TEST_F(ServeLoadTest, LoadsValidCheckpointAndServes) {
   EXPECT_EQ(server->num_nodes(), g.num_nodes);
   EXPECT_EQ(server->embed_dim(), 8);
   const Matrix reference = ReferenceEmbeddings(g, ckpt);
-  EXPECT_EQ(server->GetEmbedding(9), RowOf(reference, 9));
+  EXPECT_EQ(ServedRow(*server, 9), RowOf(reference, 9));
 }
 
 TEST_F(ServeLoadTest, RejectsCorruptedCheckpoint) {

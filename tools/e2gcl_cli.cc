@@ -273,6 +273,7 @@ int main(int argc, char** argv) {
     scfg.base.checkpoint_dir = checkpoint_dir;
     scfg.base.checkpoint_every = static_cast<int>(checkpoint_every);
     scfg.base.resume = resume;
+    scfg.base.max_retries = static_cast<int>(max_retries);
     scfg.base.report_path = obs_report;
     scfg.num_shards = static_cast<int>(shards);
     scfg.halo_hops = static_cast<int>(halo_hops);
