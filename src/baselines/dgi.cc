@@ -5,18 +5,10 @@
 
 #include "autograd/loss.h"
 #include "nn/optim.h"
+#include "obs/trace.h"
 #include "tensor/check.h"
 
 namespace e2gcl {
-
-namespace {
-
-double SecondsSince(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 DgiTrainer::DgiTrainer(const Graph& graph, const DgiConfig& config)
     : graph_(&graph), config_(config), rng_(config.seed) {

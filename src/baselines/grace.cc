@@ -6,18 +6,10 @@
 #include <numeric>
 
 #include "nn/optim.h"
+#include "obs/trace.h"
 #include "tensor/check.h"
 
 namespace e2gcl {
-
-namespace {
-
-double SecondsSince(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 GraceTrainer::GraceTrainer(const Graph& graph, const GraceConfig& config)
     : graph_(&graph), config_(config), rng_(config.seed) {

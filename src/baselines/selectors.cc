@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "cluster/kmeans.h"
+#include "obs/trace.h"
 #include "tensor/check.h"
 
 namespace e2gcl {
@@ -251,9 +252,7 @@ SelectionResult SelectNodes(SelectorKind kind, const Graph& g,
     }
   }
   AssignWeights(r, res, rng);
-  res.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  res.seconds = SecondsSince(t0);
   return res;
 }
 

@@ -17,11 +17,6 @@ namespace e2gcl {
 
 namespace {
 
-double SecondsSince(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// FNV-1a over a byte buffer; stable across platforms/compilers.
 std::uint64_t Fnv1a(const std::string& bytes) {
   std::uint64_t h = 1469598103934665603ull;

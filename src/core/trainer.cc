@@ -6,17 +6,9 @@
 #include <numeric>
 
 #include "core/raw_aggregation.h"
+#include "obs/trace.h"
 
 namespace e2gcl {
-
-namespace {
-
-double SecondsSince(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 E2gclTrainer::E2gclTrainer(const Graph& graph, const E2gclConfig& config)
     : graph_(&graph), loop_(config, graph.num_nodes, graph.feature_dim()) {

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "graph/splits.h"
+#include "obs/trace.h"
 #include "tensor/check.h"
 
 namespace e2gcl {
@@ -70,9 +71,7 @@ Matrix ComputeEmbedding(ModelKind kind, const Graph& g,
       const auto t0 = std::chrono::steady_clock::now();
       Matrix emb = TrainDeepWalk(g, dw);
       E2gclStats s;
-      s.total_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
+      s.total_seconds = SecondsSince(t0);
       fill(s);
       return emb;
     }
@@ -161,9 +160,7 @@ RunResult RunNodeClassification(ModelKind kind, const Graph& g,
     result.accuracy = (kind == ModelKind::kGcn)
                           ? TrainSupervisedGcn(g, split, sc)
                           : TrainSupervisedMlp(g, split, sc);
-    result.total_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    result.total_seconds = SecondsSince(t0);
     return result;
   }
   E2gclStats stats;

@@ -59,19 +59,16 @@ Graph BuildGraph(
   return g;
 }
 
-CsrMatrix NormalizedAdjacency(const Graph& g, bool add_self_loops) {
+CsrMatrix NormalizedAdjacency(const Graph& g) {
   const std::int64_t n = g.num_nodes;
-  std::vector<double> deg(n, add_self_loops ? 1.0 : 0.0);
+  std::vector<double> deg(n, 1.0);
   for (std::int64_t v = 0; v < n; ++v) deg[v] += g.Degree(v);
 
   std::vector<std::tuple<std::int64_t, std::int64_t, float>> triplets;
-  triplets.reserve(g.col.size() + (add_self_loops ? n : 0));
+  triplets.reserve(g.col.size() + n);
   for (std::int64_t v = 0; v < n; ++v) {
     const double dv = deg[v];
-    if (dv == 0.0) continue;
-    if (add_self_loops) {
-      triplets.emplace_back(v, v, static_cast<float>(1.0 / dv));
-    }
+    triplets.emplace_back(v, v, static_cast<float>(1.0 / dv));
     for (std::int32_t u : g.Neighbors(v)) {
       triplets.emplace_back(
           v, u, static_cast<float>(1.0 / std::sqrt(dv * deg[u])));

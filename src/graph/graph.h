@@ -68,9 +68,8 @@ Graph BuildGraph(std::int64_t num_nodes,
                  std::int64_t num_classes = 0);
 
 /// GCN-normalized adjacency D^{-1/2} (A + I) D^{-1/2} (Kipf & Welling),
-/// where D counts the self-loop. Set `add_self_loops` to false for the
-/// plain symmetric normalization D^{-1/2} A D^{-1/2}.
-CsrMatrix NormalizedAdjacency(const Graph& g, bool add_self_loops = true);
+/// where D counts the self-loop.
+CsrMatrix NormalizedAdjacency(const Graph& g);
 
 /// Row-normalized adjacency D^{-1} A (random-walk normalization).
 CsrMatrix RowNormalizedAdjacency(const Graph& g);

@@ -7,9 +7,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -33,10 +30,17 @@ using Clock = std::chrono::steady_clock;
 constexpr std::int64_t kMaxTopK =
     static_cast<std::int64_t>((kMaxPayload - 64) / 12);
 
-/// Event bits reported by the Poller.
-constexpr unsigned kReadable = 1;
-constexpr unsigned kWritable = 2;
-constexpr unsigned kBroken = 4;
+/// Once shutdown begins, admitted responses get this long to flush
+/// before laggard connections are force-closed.
+constexpr std::chrono::milliseconds kDrainGrace{2000};
+
+/// HTTP request-header bytes buffered before the connection is answered
+/// 400 and closed.
+constexpr std::size_t kMaxHttpHeaderBytes = 8192;
+
+/// Token-bucket depth for a sustained rate: one second's worth, and at
+/// least one request.
+double BurstOf(double qps) { return std::max(1.0, qps); }
 
 /// Bounded pending work across all connections; beyond it requests are
 /// shed kOverloaded before they are even queued for a worker, so a
@@ -100,132 +104,6 @@ NetCounters& CountersOf() {
 }  // namespace
 
 // ---------------------------------------------------------------------
-// Poller: epoll where available, poll(2) otherwise (or when forced).
-
-class NetServer::Poller {
- public:
-  explicit Poller(bool force_poll) : use_poll_(force_poll) {
-#if !defined(__linux__)
-    use_poll_ = true;
-#endif
-  }
-
-  ~Poller() {
-#if defined(__linux__)
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-#endif
-  }
-
-  bool Init(std::string* error) {
-    if (use_poll_) return true;
-#if defined(__linux__)
-    epoll_fd_ = ::epoll_create1(0);
-    if (epoll_fd_ < 0) {
-      *error = std::string("epoll_create1: ") + std::strerror(errno);
-      return false;
-    }
-    return true;
-#else
-    *error = "epoll unavailable";
-    return false;
-#endif
-  }
-
-  void Add(int fd, bool want_write) {
-    if (use_poll_) {
-      interest_[fd] = want_write;
-      return;
-    }
-#if defined(__linux__)
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-#endif
-  }
-
-  void Update(int fd, bool want_write) {
-    if (use_poll_) {
-      interest_[fd] = want_write;
-      return;
-    }
-#if defined(__linux__)
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
-#endif
-  }
-
-  void Remove(int fd) {
-    if (use_poll_) {
-      interest_.erase(fd);
-      return;
-    }
-#if defined(__linux__)
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
-  }
-
-  /// Fills `out` with (fd, event bits) pairs; returns the pair count
-  /// (0 on timeout/EINTR, -1 on an unrecoverable poller error).
-  int Wait(int timeout_ms, std::vector<std::pair<int, unsigned>>* out) {
-    out->clear();
-    if (use_poll_) {
-      std::vector<struct pollfd> fds;
-      fds.reserve(interest_.size());
-      for (const auto& [fd, want_write] : interest_) {
-        struct pollfd p;
-        p.fd = fd;
-        p.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-        p.revents = 0;
-        fds.push_back(p);
-      }
-      const int n = ::poll(fds.data(), fds.size(), timeout_ms);
-      if (n < 0) return errno == EINTR ? 0 : -1;
-      for (const struct pollfd& p : fds) {
-        unsigned bits = 0;
-        if ((p.revents & POLLIN) != 0) bits |= kReadable;
-        if ((p.revents & POLLOUT) != 0) bits |= kWritable;
-        if ((p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
-          bits |= kBroken;
-        }
-        if (bits != 0) out->push_back({p.fd, bits});
-      }
-      return static_cast<int>(out->size());
-    }
-#if defined(__linux__)
-    std::vector<struct epoll_event> events(64);
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), timeout_ms);
-    if (n < 0) return errno == EINTR ? 0 : -1;
-    for (int i = 0; i < n; ++i) {
-      unsigned bits = 0;
-      if ((events[i].events & EPOLLIN) != 0) bits |= kReadable;
-      if ((events[i].events & EPOLLOUT) != 0) bits |= kWritable;
-      if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) bits |= kBroken;
-      const int fd = events[i].data.fd;
-      out->push_back({fd, bits});
-    }
-    return n;
-#else
-    return -1;
-#endif
-  }
-
- private:
-  bool use_poll_;
-#if defined(__linux__)
-  int epoll_fd_ = -1;
-#endif
-  /// poll backend: fd -> want_write (ordered so the pollfd array, and
-  /// therefore event delivery order, is deterministic).
-  std::map<int, bool> interest_;
-};
-
-// ---------------------------------------------------------------------
 // Connection state (event-loop-owned).
 
 struct NetServer::Conn {
@@ -237,6 +115,8 @@ struct NetServer::Conn {
   std::string outbuf;
   std::size_t out_off = 0;
   bool close_after_flush = false;
+  /// Output is parked behind a full send buffer: the loop polls for
+  /// POLLOUT until FlushConn drains it.
   bool want_write = false;
   std::int64_t in_flight = 0;
   double tokens = 0.0;
@@ -268,14 +148,11 @@ std::unique_ptr<NetServer> NetServer::Start(EmbeddingServer* server,
 
 bool NetServer::Init(std::string* error) {
   if (options_.max_conns < 1 || options_.num_workers < 1 ||
-      options_.rate_limit_qps < 0.0 || options_.rate_limit_burst < 0.0 ||
-      options_.drain_grace_ms < 0 || options_.idle_timeout_ms < 0 ||
+      options_.rate_limit_qps < 0.0 || options_.idle_timeout_ms < 0 ||
       options_.port < 0 || options_.port > 65535) {
     *error = "invalid NetServerOptions";
     return false;
   }
-  poller_ = std::make_unique<Poller>(options_.force_poll);
-  if (!poller_->Init(error)) return false;
 
   int pipe_fds[2] = {-1, -1};
   if (::pipe(pipe_fds) != 0) {
@@ -321,9 +198,6 @@ bool NetServer::Init(std::string* error) {
   }
   SetNonBlocking(listen_fd_);
 
-  poller_->Add(listen_fd_, /*want_write=*/false);
-  poller_->Add(wake_read_fd_, /*want_write=*/false);
-
   workers_.reserve(static_cast<std::size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -368,35 +242,49 @@ std::int64_t NetServer::num_connections() const {
 
 void NetServer::EventLoop() E2GCL_LOOP_BODY {
   NetCounters& counters = CountersOf();
-  std::vector<std::pair<int, unsigned>> events;
-  bool listener_open = true;
-  bool drain_deadline_set = false;
-  Clock::time_point drain_deadline;
+  // The poll set is rebuilt every iteration from the loop's own state:
+  // the listener (until shutdown closes it), the wake pipe, then every
+  // connection, which asks for POLLOUT only while it has output parked.
+  // conn_ids[i] is the connection behind fds[i] (0 for the listener and
+  // the wake pipe).
+  std::vector<struct pollfd> fds;
+  std::vector<std::uint64_t> conn_ids;
+  Clock::time_point drain_deadline = Clock::time_point::max();
   for (;;) {
     const bool shutting_down = shutdown_.load(std::memory_order_acquire);
-    if (shutting_down && listener_open) {
-      poller_->Remove(listen_fd_);
+    if (shutting_down && listen_fd_ >= 0) {
       ::close(listen_fd_);
       listen_fd_ = -1;
-      listener_open = false;
-      drain_deadline =
-          Clock::now() + std::chrono::milliseconds(options_.drain_grace_ms);
-      drain_deadline_set = true;
+      drain_deadline = Clock::now() + kDrainGrace;
     }
     if (shutting_down && conns_.empty()) break;
 
-    // e2gcl-lint: allow(blocking-in-event-loop): the poller is the
-    // loop's single sanctioned block, bounded at 50 ms so shutdown and
-    // housekeeping always make progress.
-    const int n = poller_->Wait(/*timeout_ms=*/50, &events);
-    if (n < 0) break;  // poller broke; nothing recoverable
+    fds.clear();
+    conn_ids.clear();
+    const auto watch = [&](int fd, bool want_write, std::uint64_t conn_id) {
+      struct pollfd p = {};
+      p.fd = fd;
+      p.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
+      fds.push_back(p);
+      conn_ids.push_back(conn_id);
+    };
+    if (listen_fd_ >= 0) watch(listen_fd_, false, 0);
+    watch(wake_read_fd_, false, 0);
+    for (const auto& [id, conn] : conns_) watch(conn->fd, conn->want_write, id);
 
-    for (const auto& [fd, bits] : events) {
-      if (fd == listen_fd_ && listener_open) {
+    // The loop's one sanctioned block, bounded at 50 ms so shutdown and
+    // housekeeping always make progress.
+    const int ready = ::poll(fds.data(), fds.size(), /*timeout_ms=*/50);
+    if (ready < 0 && errno != EINTR) break;  // nothing recoverable
+
+    for (std::size_t i = 0; ready > 0 && i < fds.size(); ++i) {
+      const short revents = fds[i].revents;
+      if (revents == 0) continue;
+      if (fds[i].fd == listen_fd_) {
         AcceptNew();
         continue;
       }
-      if (fd == wake_read_fd_) {
+      if (fds[i].fd == wake_read_fd_) {
         char buf[256];
         // e2gcl-lint: allow(blocking-in-event-loop): self-pipe read end
         // is O_NONBLOCK; the drain loop ends at EAGAIN, never blocks.
@@ -404,23 +292,17 @@ void NetServer::EventLoop() E2GCL_LOOP_BODY {
         }
         continue;
       }
-      // Find the connection owning this fd. conns_ stays small
-      // relative to event counts; an fd->id index would be premature.
-      Conn* conn = nullptr;
-      for (auto& [id, c] : conns_) {
-        if (c->fd == fd) {
-          conn = c.get();
-          break;
-        }
-      }
-      if (conn == nullptr) continue;
-      if ((bits & kBroken) != 0 && (bits & kReadable) == 0) {
+      const auto it = conns_.find(conn_ids[i]);
+      if (it == conns_.end()) continue;  // closed earlier in this pass
+      Conn* conn = it->second.get();
+      if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&
+          (revents & POLLIN) == 0) {
         CloseConn(conn->id);
         continue;
       }
       bool alive = true;
-      if ((bits & kReadable) != 0) alive = ReadConn(conn);
-      if (alive && (bits & kWritable) != 0) FlushConn(conn);
+      if ((revents & POLLIN) != 0) alive = ReadConn(conn);
+      if (alive && (revents & POLLOUT) != 0) FlushConn(conn);
     }
 
     // Route worker completions to their connections.
@@ -451,14 +333,12 @@ void NetServer::EventLoop() E2GCL_LOOP_BODY {
       }
       if (shutting_down) {
         const bool drained = conn->in_flight == 0 && conn->outbuf.empty();
-        if (drained || (drain_deadline_set && now > drain_deadline)) {
-          to_close.push_back(id);
-        }
+        if (drained || now > drain_deadline) to_close.push_back(id);
       }
     }
     for (std::uint64_t id : to_close) CloseConn(id);
   }
-  // Force-close whatever is left (poller error path).
+  // Force-close whatever is left (poll error path).
   while (!conns_.empty()) CloseConn(conns_.begin()->first);
 }
 
@@ -479,7 +359,9 @@ void NetServer::AcceptNew() {
       // Over the cap (or racing shutdown): one best-effort typed error
       // frame, then close. The socket was just accepted, so the small
       // write almost always fits the kernel buffer; if not, the close
-      // alone is still a clean, protocol-visible rejection.
+      // alone is still a clean, protocol-visible rejection. Counted
+      // first, so a client that reads the frame sees the counter moved.
+      counters.conn_rejected.Increment();
       const std::string frame =
           EncodeError(0, WireError::kConnectionLimit,
                       shutdown_.load(std::memory_order_acquire)
@@ -490,7 +372,6 @@ void NetServer::AcceptNew() {
       // a short write is acceptable (the close is the real rejection).
       (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       ::close(fd);
-      counters.conn_rejected.Increment();
       continue;
     }
     SetNonBlocking(fd);
@@ -499,12 +380,9 @@ void NetServer::AcceptNew() {
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
-    conn->tokens = options_.rate_limit_burst > 0.0
-                       ? options_.rate_limit_burst
-                       : std::max(1.0, options_.rate_limit_qps);
+    conn->tokens = BurstOf(options_.rate_limit_qps);  // starts full
     conn->last_refill = Clock::now();
     conn->last_activity = conn->last_refill;
-    poller_->Add(fd, /*want_write=*/false);
     counters.accepted.Increment();
     const std::uint64_t id = conn->id;
     conns_.emplace(id, std::move(conn));
@@ -685,8 +563,7 @@ void NetServer::ProcessHttp(Conn* conn) {
   NetCounters& counters = CountersOf();
   const std::size_t end = conn->inbuf.find("\r\n\r\n");
   if (end == std::string::npos) {
-    if (static_cast<std::int64_t>(conn->inbuf.size()) >
-        options_.max_http_header_bytes) {
+    if (conn->inbuf.size() > kMaxHttpHeaderBytes) {
       conn->inbuf.clear();
       conn->close_after_flush = true;
       QueueOutput(conn,
@@ -754,8 +631,8 @@ void NetServer::QueueOutput(Conn* conn, const std::string& bytes) {
 bool NetServer::FlushConn(Conn* conn) {
   while (conn->out_off < conn->outbuf.size()) {
     // e2gcl-lint: allow(blocking-in-event-loop): conn fds are O_NONBLOCK;
-    // a full send buffer returns EAGAIN and the loop re-arms EPOLLOUT
-    // instead of waiting.
+    // a full send buffer returns EAGAIN and the next poll(2) asks for
+    // POLLOUT instead of waiting.
     const ssize_t w = ::send(conn->fd, conn->outbuf.data() + conn->out_off,
                              conn->outbuf.size() - conn->out_off,
                              MSG_NOSIGNAL);
@@ -765,10 +642,7 @@ bool NetServer::FlushConn(Conn* conn) {
     }
     if (w < 0 && errno == EINTR) continue;
     if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_write) {
-        conn->want_write = true;
-        poller_->Update(conn->fd, /*want_write=*/true);
-      }
+      conn->want_write = true;
       return true;
     }
     CloseConn(conn->id);  // EPIPE/ECONNRESET: peer is gone
@@ -776,10 +650,7 @@ bool NetServer::FlushConn(Conn* conn) {
   }
   conn->outbuf.clear();
   conn->out_off = 0;
-  if (conn->want_write) {
-    conn->want_write = false;
-    poller_->Update(conn->fd, /*want_write=*/false);
-  }
+  conn->want_write = false;
   if (conn->close_after_flush && conn->in_flight == 0) {
     CloseConn(conn->id);
     return false;
@@ -790,7 +661,6 @@ bool NetServer::FlushConn(Conn* conn) {
 void NetServer::CloseConn(std::uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
-  poller_->Remove(it->second->fd);
   ::close(it->second->fd);
   conns_.erase(it);
   live_conns_.store(static_cast<std::int64_t>(conns_.size()),
@@ -805,10 +675,8 @@ bool NetServer::TakeToken(Conn* conn) {
   const double dt =
       std::chrono::duration<double>(now - conn->last_refill).count();
   conn->last_refill = now;
-  const double burst = options_.rate_limit_burst > 0.0
-                           ? options_.rate_limit_burst
-                           : std::max(1.0, options_.rate_limit_qps);
-  conn->tokens = std::min(burst, conn->tokens + dt * options_.rate_limit_qps);
+  conn->tokens = std::min(BurstOf(options_.rate_limit_qps),
+                          conn->tokens + dt * options_.rate_limit_qps);
   if (conn->tokens < 1.0) return false;
   conn->tokens -= 1.0;
   return true;

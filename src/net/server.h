@@ -30,13 +30,12 @@ struct NetServerOptions {
   /// (best effort) and closed before it can submit anything.
   std::int64_t max_conns = 1024;
   /// Per-connection token bucket: sustained requests/second (0 = no
-  /// limit). A request arriving with an empty bucket is answered
-  /// kOverloaded at the socket layer — it never reaches the serving
-  /// queue, so the PR-7 admission control stays the *second* line of
-  /// defense.
+  /// limit). The bucket holds max(1, rate_limit_qps) tokens, one
+  /// second's worth. A request arriving with an empty bucket is
+  /// answered kOverloaded at the socket layer — it never reaches the
+  /// serving queue, so the queue's own admission control stays the
+  /// *second* line of defense.
   double rate_limit_qps = 0.0;
-  /// Bucket depth (burst allowance). 0 = max(1, rate_limit_qps).
-  double rate_limit_burst = 0.0;
   /// Worker threads that execute (blocking) EmbeddingServer calls so
   /// the event loop never blocks on the serving queue.
   int num_workers = 4;
@@ -45,24 +44,15 @@ struct NetServerOptions {
   /// slow-loris backstop: a half-sent frame cannot hold a connection
   /// slot forever.
   std::int64_t idle_timeout_ms = 0;
-  /// During shutdown, wait at most this long for admitted responses to
-  /// flush before force-closing laggard connections.
-  std::int64_t drain_grace_ms = 2000;
-  /// Cap on HTTP request-header bytes before the connection is
-  /// answered 400 and closed.
-  std::int64_t max_http_header_bytes = 8192;
-  /// Use the poll(2) backend even where epoll is available (the
-  /// fallback stays tested at runtime; non-Linux hosts always poll).
-  bool force_poll = false;
 };
 
 /// Dependency-free TCP front-end for an EmbeddingServer.
 ///
-/// One event-loop thread multiplexes every connection through epoll
-/// (level-triggered; poll(2) fallback) and never blocks on the serving
-/// queue: decoded requests are handed to a small worker pool whose
-/// threads make the blocking status-typed EmbeddingServer calls and
-/// queue the encoded responses back for the loop to flush. Two
+/// One event-loop thread multiplexes every connection through poll(2)
+/// and never blocks on the serving queue: decoded requests are handed
+/// to a small worker pool whose threads make the blocking status-typed
+/// EmbeddingServer calls and queue the encoded responses back for the
+/// loop to flush. Two
 /// protocols share the port, distinguished by the first bytes of each
 /// connection:
 ///
@@ -79,9 +69,9 @@ struct NetServerOptions {
 /// serving queue's own max_queue_depth admission control. Shutdown is
 /// deterministic: BeginShutdown() closes the listener, new requests on
 /// live connections fail fast with kShutdown, admitted requests
-/// complete and their responses flush (bounded by drain_grace_ms), and
-/// the destructor joins every thread. Destroy the NetServer before the
-/// EmbeddingServer it fronts.
+/// complete and their responses flush (bounded by a 2 s grace period),
+/// and the destructor joins every thread. Destroy the NetServer before
+/// the EmbeddingServer it fronts.
 ///
 /// Emits net.* counters (accepted, rejected, frames, rate-limited,
 /// http) and a net.connections gauge; see DESIGN.md "Network
@@ -112,7 +102,6 @@ class NetServer {
   std::int64_t num_connections() const;
 
  private:
-  class Poller;
   struct Conn;
   struct WorkItem;
 
@@ -121,7 +110,7 @@ class NetServer {
 
   /// Event-loop body (blocking-in-event-loop lint root): everything
   /// reachable from here runs on the loop thread and must never block
-  /// beyond the poller's bounded wait.
+  /// beyond its bounded poll(2) wait.
   void EventLoop() E2GCL_LOOP_BODY;
   void WorkerLoop();
 
@@ -159,7 +148,6 @@ class NetServer {
   int listen_fd_ = -1;
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
-  std::unique_ptr<Poller> poller_;
 
   /// Loop-owned: connections keyed by id (ordered map: housekeeping
   /// iterates it and must be deterministic). Only the event loop

@@ -1,6 +1,7 @@
 #ifndef E2GCL_OBS_TRACE_H_
 #define E2GCL_OBS_TRACE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -69,6 +70,12 @@ class TraceSpan {
   void* parent_ = nullptr;  // previous thread-local current span node
   std::int64_t start_ns_ = 0;
 };
+
+/// Wall seconds (steady clock) elapsed since `t0`.
+inline double SecondsSince(const std::chrono::steady_clock::time_point& t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 }  // namespace e2gcl
 

@@ -99,6 +99,28 @@ void UpdateGenerationGauge(std::uint64_t gen) {
   gauge.Set(static_cast<std::int64_t>(gen));
 }
 
+/// The best `k` of `candidates` by (score desc, node id asc), where
+/// `scores[node]` is a node's score. The order is total, so ties never
+/// depend on scheduling or on the order of `candidates`.
+TopKResult RankTopK(std::vector<std::int64_t> candidates,
+                    const std::vector<float>& scores, std::int64_t k) {
+  const auto score = [&](std::int64_t node) {
+    return scores[static_cast<std::size_t>(node)];
+  };
+  k = std::min<std::int64_t>(k, static_cast<std::int64_t>(candidates.size()));
+  std::partial_sort(candidates.begin(), candidates.begin() + k,
+                    candidates.end(), [&](std::int64_t x, std::int64_t y) {
+                      const float sx = score(x);
+                      const float sy = score(y);
+                      return sx != sy ? sx > sy : x < y;
+                    });
+  TopKResult top;
+  top.nodes.assign(candidates.begin(), candidates.begin() + k);
+  top.scores.reserve(top.nodes.size());
+  for (const std::int64_t node : top.nodes) top.scores.push_back(score(node));
+  return top;
+}
+
 }  // namespace
 
 struct EmbeddingServer::Request {
@@ -510,100 +532,52 @@ void EmbeddingServer::ProcessBatch(
                              static_cast<std::int64_t>(u.size()));
         break;
       }
-      case Request::Kind::kTopK: {
-        if (!state.quantized.empty()) {
-          ServeTopKQuantized(state, r.get(), row_of(r->a), r->degrade);
-          break;
-        }
-        const Matrix& z = FullEmbeddings(state);
-        const std::vector<float>& q = row_of(r->a);
-        const std::int64_t n = z.rows();
-        // One owned slot per node: deterministic at any thread count.
-        std::vector<float> scores(static_cast<std::size_t>(n));
-        ParallelFor(0, n, GrainForCost(z.cols()),
-                    [&](std::int64_t rb, std::int64_t re) {
-                      for (std::int64_t i = rb; i < re; ++i) {
-                        scores[static_cast<std::size_t>(i)] =
-                            simd::Dot(q.data(), z.RowPtr(i), z.cols());
-                      }
-                    });
-        std::vector<std::int64_t> order;
-        order.reserve(static_cast<std::size_t>(n));
-        for (std::int64_t i = 0; i < n; ++i) {
-          if (i != r->a) order.push_back(i);
-        }
-        const std::int64_t k = std::min<std::int64_t>(
-            r->b, static_cast<std::int64_t>(order.size()));
-        // Total order (score desc, node id asc): ties cannot depend on
-        // scheduling.
-        std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                          [&](std::int64_t x, std::int64_t y) {
-                            const float sx = scores[static_cast<std::size_t>(
-                                x)];
-                            const float sy = scores[static_cast<std::size_t>(
-                                y)];
-                            if (sx != sy) return sx > sy;
-                            return x < y;
-                          });
-        r->topk.nodes.assign(order.begin(), order.begin() + k);
-        r->topk.scores.reserve(static_cast<std::size_t>(k));
-        for (std::int64_t i = 0; i < k; ++i) {
-          r->topk.scores.push_back(
-              scores[static_cast<std::size_t>(r->topk.nodes[i])]);
-        }
+      case Request::Kind::kTopK:
+        ServeTopK(state, r.get(), row_of(r->a));
         break;
-      }
     }
   }
 }
 
-void EmbeddingServer::ServeTopKQuantized(ModelState& state, Request* req,
-                                         const std::vector<float>& query,
-                                         bool degraded) {
-  TraceSpan span("serve_topk_quantized");
-  const QuantizedEmbeddingTable& quantized = state.quantized;
-  const std::int64_t n = quantized.rows();
-  // Approximate scan over the int8 table (exact integer dot + one float
-  // rescale per row — deterministic at any thread count and identical
-  // in every SIMD backend).
-  std::vector<std::int8_t> qcodes;
-  const float qscale = quantized.QuantizeQuery(query.data(), &qcodes);
-  std::vector<float> approx;
-  quantized.ScoreAll(qcodes.data(), qscale, &approx);
-  std::vector<std::int64_t> order;
-  order.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (i != req->a) order.push_back(i);
+void EmbeddingServer::ServeTopK(ModelState& state, Request* req,
+                                const std::vector<float>& query) {
+  TraceSpan span("serve_topk");
+  // Scan: one score per node, written to its own slot (deterministic at
+  // any thread count). The int8 table scores by exact integer dot plus
+  // one float rescale per row, identical in every SIMD backend.
+  const bool quantized = !state.quantized.empty();
+  std::vector<float> scores;
+  if (quantized) {
+    std::vector<std::int8_t> qcodes;
+    const float qscale = state.quantized.QuantizeQuery(query.data(), &qcodes);
+    state.quantized.ScoreAll(qcodes.data(), qscale, &scores);
+  } else {
+    const Matrix& z = FullEmbeddings(state);
+    scores.resize(static_cast<std::size_t>(z.rows()));
+    ParallelFor(0, z.rows(), GrainForCost(z.cols()),
+                [&](std::int64_t rb, std::int64_t re) {
+                  for (std::int64_t i = rb; i < re; ++i) {
+                    scores[static_cast<std::size_t>(i)] =
+                        simd::Dot(query.data(), z.RowPtr(i), z.cols());
+                  }
+                });
   }
-  const std::int64_t k =
-      std::min<std::int64_t>(req->b, static_cast<std::int64_t>(order.size()));
-  // Candidate pool: k * rescore_factor by approximate score (total order:
-  // score desc, node id asc). rescore_factor == 0 — or a degraded
-  // request (load shedding skips the exact pass) — returns the
-  // approximate top-k directly.
-  const bool approx_only = degraded || options_.rescore_factor == 0;
-  const std::int64_t pool =
-      approx_only
-          ? k
-          : std::min<std::int64_t>(k * options_.rescore_factor,
-                                   static_cast<std::int64_t>(order.size()));
-  auto by_approx = [&](std::int64_t x, std::int64_t y) {
-    const float sx = approx[static_cast<std::size_t>(x)];
-    const float sy = approx[static_cast<std::size_t>(y)];
-    if (sx != sy) return sx > sy;
-    return x < y;
-  };
-  std::partial_sort(order.begin(), order.begin() + pool, order.end(),
-                    by_approx);
-  order.resize(static_cast<std::size_t>(pool));
-  if (approx_only) {
-    req->topk.nodes.assign(order.begin(), order.begin() + k);
-    req->topk.scores.reserve(static_cast<std::size_t>(k));
-    for (std::int64_t i = 0; i < k; ++i) {
-      req->topk.scores.push_back(
-          approx[static_cast<std::size_t>(req->topk.nodes[i])]);
-    }
-    if (degraded) {
+  const std::int64_t n = static_cast<std::int64_t>(scores.size());
+  std::vector<std::int64_t> others;
+  others.reserve(scores.size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (i != req->a) others.push_back(i);
+  }
+  // Clamped here, not only in RankTopK, so the pool size below cannot
+  // overflow for a huge requested k.
+  const std::int64_t k = std::min<std::int64_t>(req->b, n - 1);
+  // The fp32 scan is exact. The int8 scan answers directly when the
+  // rescore is off (rescore_factor == 0) or skipped under load (a
+  // degraded request); otherwise it only picks k * rescore_factor
+  // candidates.
+  if (!quantized || req->degrade || options_.rescore_factor == 0) {
+    req->topk = RankTopK(std::move(others), scores, k);
+    if (req->degrade) {
       req->result_status = ServeStatus::kDegraded;
       RecordDegraded();
     }
@@ -614,35 +588,16 @@ void EmbeddingServer::ServeTopKQuantized(ModelState& state, Request* req,
   // EncodeRows for the misses) and rank by exact dot score. As long as
   // the true top-k survives into the pool, the result matches the fp32
   // scan exactly — rows, scores, and tie-breaks.
-  std::vector<std::int64_t> sorted = order;
-  std::sort(sorted.begin(), sorted.end());
-  const std::vector<std::vector<float>> rows = FetchRows(state, sorted);
-  std::vector<float> exact(static_cast<std::size_t>(pool));
-  for (std::int64_t i = 0; i < pool; ++i) {
-    const auto it = std::lower_bound(sorted.begin(), sorted.end(), order[i]);
-    const std::vector<float>& row =
-        rows[static_cast<std::size_t>(it - sorted.begin())];
-    exact[static_cast<std::size_t>(i)] =
-        simd::Dot(query.data(), row.data(),
-                  static_cast<std::int64_t>(row.size()));
+  std::vector<std::int64_t> pool =
+      RankTopK(std::move(others), scores, k * options_.rescore_factor).nodes;
+  std::sort(pool.begin(), pool.end());
+  const std::vector<std::vector<float>> rows = FetchRows(state, pool);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    scores[static_cast<std::size_t>(pool[i])] =
+        simd::Dot(query.data(), rows[i].data(),
+                  static_cast<std::int64_t>(rows[i].size()));
   }
-  std::vector<std::int64_t> idx(static_cast<std::size_t>(pool));
-  for (std::int64_t i = 0; i < pool; ++i) idx[static_cast<std::size_t>(i)] = i;
-  std::partial_sort(idx.begin(), idx.begin() + k, idx.end(),
-                    [&](std::int64_t x, std::int64_t y) {
-                      const float sx = exact[static_cast<std::size_t>(x)];
-                      const float sy = exact[static_cast<std::size_t>(y)];
-                      if (sx != sy) return sx > sy;
-                      return order[static_cast<std::size_t>(x)] <
-                             order[static_cast<std::size_t>(y)];
-                    });
-  req->topk.nodes.reserve(static_cast<std::size_t>(k));
-  req->topk.scores.reserve(static_cast<std::size_t>(k));
-  for (std::int64_t i = 0; i < k; ++i) {
-    const std::int64_t j = idx[static_cast<std::size_t>(i)];
-    req->topk.nodes.push_back(order[static_cast<std::size_t>(j)]);
-    req->topk.scores.push_back(exact[static_cast<std::size_t>(j)]);
-  }
+  req->topk = RankTopK(std::move(pool), scores, k);
 }
 
 std::vector<std::vector<float>> EmbeddingServer::FetchRows(

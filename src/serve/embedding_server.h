@@ -228,10 +228,11 @@ class EmbeddingServer {
   /// The generation's full |V| x d embedding matrix (precomputed, or
   /// materialized on first fp32 TopK in lazy mode).
   const Matrix& FullEmbeddings(ModelState& state);
-  /// Serves one TopK request from the int8 table. `degraded` skips the
-  /// exact rescore regardless of rescore_factor.
-  void ServeTopKQuantized(ModelState& state, Request* req,
-                          const std::vector<float>& query, bool degraded);
+  /// Serves one TopK request: the fp32 scan, or the int8 scan with an
+  /// exact rescore of its candidate pool (skipped when rescore_factor is
+  /// 0 or the request is degraded).
+  void ServeTopK(ModelState& state, Request* req,
+                 const std::vector<float>& query);
 
   const Graph* graph_;
   CsrMatrix adj_;

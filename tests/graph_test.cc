@@ -70,11 +70,10 @@ TEST(NormalizedAdjacency, SymmetricMatrix) {
 
 TEST(NormalizedAdjacency, SelfLoopOnDiagonal) {
   Graph g = SmallGraph();
-  Matrix with = NormalizedAdjacency(g, /*add_self_loops=*/true).ToDense();
-  Matrix without = NormalizedAdjacency(g, /*add_self_loops=*/false).ToDense();
+  Matrix dense = NormalizedAdjacency(g).ToDense();
   for (std::int64_t v = 0; v < g.num_nodes; ++v) {
-    EXPECT_GT(with(v, v), 0.0f);
-    EXPECT_EQ(without(v, v), 0.0f);
+    // D counts the self-loop, so the diagonal is 1 / (deg(v) + 1).
+    EXPECT_EQ(dense(v, v), static_cast<float>(1.0 / (g.Degree(v) + 1.0)));
   }
 }
 

@@ -1,10 +1,10 @@
 // End-to-end serving over TCP: responses fetched through the NetClient
 // must be byte-identical to direct in-process EmbeddingServer calls —
 // across serving configs (lazy, precompute, int8+rescore), under
-// concurrent client threads, through a hot checkpoint reload with zero
-// failed queries, and on both the epoll and poll(2) event-loop
-// backends. Load-shedding (per-connection rate limits, the connection
-// cap) must be observable through typed responses and net.* counters.
+// concurrent client threads, and through a hot checkpoint reload with
+// zero failed queries. Load-shedding (per-connection rate limits, the
+// connection cap) must be observable through typed responses and net.*
+// counters.
 // Registered as a TSAN/ASAN target in check_sanitizers.sh.
 
 #include <gtest/gtest.h>
@@ -171,9 +171,9 @@ TEST(NetServe, ByteIdenticalInt8RescoreMode) {
 }
 
 TEST(NetServe, ByteIdenticalOnPollBackend) {
-  NetServerOptions net_options;
-  net_options.force_poll = true;  // exercise the non-epoll event loop
-  Stack s = MakeStack({}, net_options);
+  // poll(2) is the server's only event loop, so the default stack is
+  // the poll backend.
+  Stack s = MakeStack();
   ASSERT_NE(s.net, nullptr);
   ExpectByteIdentical(s);
 }
@@ -255,9 +255,9 @@ TEST(NetServe, ConcurrentClientsAllByteIdentical) {
 TEST(NetServe, RateLimitedRequestsGetOverloadedAndAreCounted) {
   NetServerOptions net_options;
   // Refill is ~1 token per 1000s: deterministically, exactly the burst
-  // is served and everything after is shed at the socket layer.
+  // (max(1, qps) = 1) is served and everything after is shed at the
+  // socket layer.
   net_options.rate_limit_qps = 0.001;
-  net_options.rate_limit_burst = 2.0;
   Stack s = MakeStack({}, net_options);
   ASSERT_NE(s.net, nullptr);
   const std::uint64_t limited_before = CounterValue("net.rate_limited");
@@ -270,9 +270,9 @@ TEST(NetServe, RateLimitedRequestsGetOverloadedAndAreCounted) {
     if (r.status == ServeStatus::kOk) ++served;
     if (r.status == ServeStatus::kOverloaded) ++overloaded;
   }
-  EXPECT_EQ(served, 2);
-  EXPECT_EQ(overloaded, 8);
-  EXPECT_EQ(CounterValue("net.rate_limited") - limited_before, 8u);
+  EXPECT_EQ(served, 1);
+  EXPECT_EQ(overloaded, 9);
+  EXPECT_EQ(CounterValue("net.rate_limited") - limited_before, 9u);
   // The rejections are per-connection: a fresh connection gets a fresh
   // bucket and is served again.
   auto fresh = Dial(s);

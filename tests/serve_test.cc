@@ -73,6 +73,19 @@ std::vector<float> RowOf(const Matrix& m, std::int64_t r) {
   return std::vector<float>(m.RowPtr(r), m.RowPtr(r) + m.cols());
 }
 
+/// `got` is exactly the first `k` entries of `want`, a (score, node)
+/// list sorted by (score desc, node id asc).
+void ExpectRanking(const TopKResult& got,
+                   const std::vector<std::pair<float, std::int64_t>>& want,
+                   std::int64_t k) {
+  ASSERT_EQ(got.nodes.size(), static_cast<std::size_t>(k));
+  ASSERT_EQ(got.scores.size(), static_cast<std::size_t>(k));
+  for (std::int64_t i = 0; i < k; ++i) {
+    EXPECT_EQ(got.nodes[i], want[i].second) << "rank " << i << " of " << k;
+    EXPECT_EQ(got.scores[i], want[i].first) << "rank " << i << " of " << k;
+  }
+}
+
 // --- EncodeRows (the lazy-serving primitive). ------------------------------
 
 TEST(EncodeRows, MatchesFullEncodeBitIdentically) {
@@ -291,6 +304,11 @@ TEST(EmbeddingServer, TopKSimilarMatchesBruteForceAndExcludesSelf) {
     EXPECT_EQ(got.nodes[i], all[i].second) << "rank " << i;
     EXPECT_EQ(got.scores[i], all[i].first) << "rank " << i;
   }
+  // k = 0 is an empty answer; k >= |V| ranks every other node.
+  for (const std::int64_t edge_k : {0L, g.num_nodes, g.num_nodes + 5}) {
+    const TopKResult edge = ServedExactTopK(*server, query, edge_k);
+    ExpectRanking(edge, all, std::min<std::int64_t>(edge_k, g.num_nodes - 1));
+  }
 
   // Lazy and precompute TopK agree bit-for-bit.
   ServeOptions pre = opt;
@@ -370,6 +388,21 @@ TEST(EmbeddingServer, QuantizedTopKWithRescoreMatchesFp32Exactly) {
     EXPECT_EQ(got.nodes, want.nodes) << "query " << query;
     EXPECT_EQ(got.scores, want.scores) << "query " << query;
   }
+  // k = 0 is an empty answer; k >= |V| rescores every other node, so it
+  // is the full fp32 ranking.
+  const std::int64_t query = 31;
+  for (const std::int64_t k : {0L, g.num_nodes, g.num_nodes + 5}) {
+    const TopKResult want = ServedExactTopK(*exact_server, query, k);
+    const TopKResult got = ServedExactTopK(*quant_server, query, k);
+    EXPECT_EQ(got.nodes.size(),
+              static_cast<std::size_t>(
+                  std::min<std::int64_t>(k, g.num_nodes - 1)))
+        << "k " << k;
+    EXPECT_EQ(std::count(got.nodes.begin(), got.nodes.end(), query), 0)
+        << "k " << k;
+    EXPECT_EQ(got.nodes, want.nodes) << "k " << k;
+    EXPECT_EQ(got.scores, want.scores) << "k " << k;
+  }
 }
 
 TEST(EmbeddingServer, QuantizedTopKWithoutRescoreRanksByApproxScores) {
@@ -404,6 +437,11 @@ TEST(EmbeddingServer, QuantizedTopKWithoutRescoreRanksByApproxScores) {
   for (std::size_t i = 0; i < 5u; ++i) {
     EXPECT_EQ(got.nodes[i], all[i].second) << "rank " << i;
     EXPECT_EQ(got.scores[i], all[i].first) << "rank " << i;
+  }
+  // k = 0 is an empty answer; k >= |V| ranks every other node.
+  for (const std::int64_t k : {0L, g.num_nodes, g.num_nodes + 5}) {
+    ExpectRanking(ServedExactTopK(*server, query, k), all,
+                  std::min<std::int64_t>(k, g.num_nodes - 1));
   }
 }
 

@@ -178,7 +178,6 @@ TEST(CsrSymmetry, OnlyTheSymmetricNormalizationIsMarked) {
       BuildGraph(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 3}, {0, 5}},
                  Matrix::RandomUniform(6, 3, 0.0f, 1.0f, rng));
   EXPECT_TRUE(NormalizedAdjacency(g).symmetric());
-  EXPECT_TRUE(NormalizedAdjacency(g, /*add_self_loops=*/false).symmetric());
   EXPECT_FALSE(RowNormalizedAdjacency(g).symmetric());
   // GAT-style attention: a softmax over each row's neighbors has the
   // graph's (symmetric) structure but not its values.

@@ -17,7 +17,6 @@
 // epoch-stamped checkpoints; --resume continues from the newest valid
 // one; --max-retries bounds the NaN-recovery retry budget.
 
-#include <cerrno>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +28,7 @@
 
 #include "eval/io.h"
 #include "eval/protocol.h"
+#include "flag_parse.h"
 #include "graph/datasets.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
@@ -72,38 +72,6 @@ void Usage(const char* prog) {
       "store to --store-dir, and exit (run training in a separate process "
       "so its peak RSS excludes generation)\n",
       prog);
-}
-
-/// Strict whole-token integer parse; "", "12x", and out-of-range fail.
-bool ParseInt(const char* s, long long lo, long long hi, long long* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  if (v < lo || v > hi) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseU64(const char* s, std::uint64_t* out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseDouble(const char* s, double* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace

@@ -13,10 +13,8 @@
 
 #include <csignal>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -24,6 +22,7 @@
 #include <vector>
 
 #include "core/trainer.h"
+#include "flag_parse.h"
 #include "graph/datasets.h"
 #include "io/checkpoint.h"
 #include "net/server.h"
@@ -91,38 +90,6 @@ void Usage(const char* prog) {
       "downtime), then keep answering\n"
       "  --stats                  print serve.* metrics before exit\n",
       prog);
-}
-
-/// Strict whole-token integer parse; "", "12x", and out-of-range fail.
-bool ParseInt(const char* s, long long lo, long long hi, long long* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  if (v < lo || v > hi) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseU64(const char* s, std::uint64_t* out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseDouble(const char* s, double* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
 }
 
 /// Parses "a,b" into two non-negative integers.

@@ -789,12 +789,11 @@ bool AnyActive(const std::vector<HeldLock>& held) {
 // Functions marked E2GCL_LOOP_BODY (the net event loop) and everything
 // reachable from them through the same-file call graph must never
 // block: a blocking syscall, condition wait, sleep, or join inside the
-// loop stalls every connection at once. The poller's bounded wait is
-// the loop's single sanctioned block and carries a justified
-// suppression at its call site; nonblocking-fd syscalls (EAGAIN-bounded
-// recv/send/accept/read) are likewise suppressed where the fd mode is
-// established. ::poll/::epoll_wait are deliberately NOT in the pattern
-// set — the poller primitive itself is the sanctioned place to block.
+// loop stalls every connection at once. The loop's bounded ::poll wait
+// is its single sanctioned block, so ::poll is deliberately NOT in the
+// pattern set; nonblocking-fd syscalls (EAGAIN-bounded
+// recv/send/accept/read) carry a justified suppression where the fd
+// mode is established.
 
 const std::vector<std::string>& BlockingPatterns() {
   static const std::vector<std::string> kPatterns = {
