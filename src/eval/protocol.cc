@@ -8,7 +8,7 @@
 
 namespace e2gcl {
 
-ModelKind ModelKindFromName(const std::string& name) {
+std::optional<ModelKind> FindModelKind(const std::string& name) {
   if (name == "mlp") return ModelKind::kMlp;
   if (name == "gcn") return ModelKind::kGcn;
   if (name == "deepwalk" || name == "dw") return ModelKind::kDeepWalk;
@@ -22,8 +22,13 @@ ModelKind ModelKindFromName(const std::string& name) {
   if (name == "grace") return ModelKind::kGrace;
   if (name == "gca") return ModelKind::kGca;
   if (name == "e2gcl") return ModelKind::kE2gcl;
-  E2GCL_CHECK_MSG(false, "unknown model '%s'", name.c_str());
-  return ModelKind::kMlp;
+  return std::nullopt;
+}
+
+ModelKind ModelKindFromName(const std::string& name) {
+  const std::optional<ModelKind> kind = FindModelKind(name);
+  E2GCL_CHECK_MSG(kind.has_value(), "unknown model '%s'", name.c_str());
+  return *kind;
 }
 
 std::string ModelKindName(ModelKind kind) {

@@ -1,6 +1,7 @@
 #ifndef E2GCL_EVAL_PROTOCOL_H_
 #define E2GCL_EVAL_PROTOCOL_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,9 @@ enum class ModelKind {
   kE2gcl,
 };
 
+/// Parses a model name ("e2gcl", "dw", ...); nullopt for an unknown one.
+std::optional<ModelKind> FindModelKind(const std::string& name);
+/// As FindModelKind, but aborts on an unknown name.
 ModelKind ModelKindFromName(const std::string& name);
 std::string ModelKindName(ModelKind kind);
 

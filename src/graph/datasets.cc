@@ -35,7 +35,7 @@ SbmSpec MakeSpec(std::int64_t nodes, std::int64_t classes,
 
 }  // namespace
 
-DatasetSpec GetDatasetSpec(const std::string& name) {
+std::optional<DatasetSpec> FindDatasetSpec(const std::string& name) {
   // Node counts / degrees / class counts follow Tab. III of the paper;
   // feature widths are scaled for CPU (Cora 1433 -> 128, etc.), and the
   // OGB graphs are scaled down proportionally (arxiv 169k -> 20k,
@@ -69,9 +69,15 @@ DatasetSpec GetDatasetSpec(const std::string& name) {
     // iterate that list, and this graph exists for scale benchmarks.
     spec.sbm = MakeSpec(1050000, 24, 32, 8.0, 0.94, 1);
   } else {
-    E2GCL_CHECK_MSG(false, "unknown dataset '%s'", name.c_str());
+    return std::nullopt;
   }
   return spec;
+}
+
+DatasetSpec GetDatasetSpec(const std::string& name) {
+  std::optional<DatasetSpec> spec = FindDatasetSpec(name);
+  E2GCL_CHECK_MSG(spec.has_value(), "unknown dataset '%s'", name.c_str());
+  return *std::move(spec);
 }
 
 std::vector<std::string> NodeClassificationDatasets() {

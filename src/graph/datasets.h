@@ -1,6 +1,7 @@
 #ifndef E2GCL_GRAPH_DATASETS_H_
 #define E2GCL_GRAPH_DATASETS_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,9 @@ struct DatasetSpec {
   std::string name;
   SbmSpec sbm;
 };
+
+/// Spec for `name`; nullopt for an unknown name.
+std::optional<DatasetSpec> FindDatasetSpec(const std::string& name);
 
 /// Spec for `name`; aborts on unknown names.
 DatasetSpec GetDatasetSpec(const std::string& name);

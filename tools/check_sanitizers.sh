@@ -21,6 +21,10 @@
 # simd_portable.cc is always compiled, and simd_kernels_test (in the
 # target list below) calls the simd::portable::* kernels directly.
 #
+# The address and undefined legs also run bench_paper at toy size
+# (E2GCL_BENCH_SCALE=0.1, one seed, two epochs): every paper experiment,
+# so every baseline and the node, link and graph protocols, end to end.
+#
 # The threadsafety leg is build-only: it compiles the annotated targets
 # with -Wthread-safety -Werror=thread-safety under clang (see
 # src/core/thread_annotations.h); under gcc the mode configures as a
@@ -71,6 +75,9 @@ TARGETS=(
   tensor_csr_test
   simd_kernels_test
   kmeans_test
+  baselines_test
+  eval_test
+  graph_level_test
   core_selector_test
   core_trainer_test
   core_view_test
@@ -138,6 +145,14 @@ for LEG in "${LEGS[@]}"; do
       leg_status=1
     fi
   done
+  if [ "$LEG" = address ] || [ "$LEG" = undefined ]; then
+    cmake --build "$BUILD" -j "$(nproc)" --target bench_paper
+    echo "=== bench_paper ($LEG) ==="
+    if ! E2GCL_BENCH_SCALE=0.1 E2GCL_BENCH_RUNS=1 E2GCL_BENCH_EPOCHS=2 \
+        "$BUILD/bench/bench_paper" >/dev/null; then
+      leg_status=1
+    fi
+  fi
   record "$LEG" "$leg_status"
 done
 

@@ -47,7 +47,8 @@ void Usage(const char* prog) {
       "bgrl|afgrl|mvgrl|grace|gca|e2gcl (default e2gcl)\n"
       "  --epochs <int>           pre-training epochs (default 40)\n"
       "  --ratio <float>          e2gcl node budget r (default 0.4)\n"
-      "  --scale <float>          dataset size multiplier (default 1.0)\n"
+      "  --scale <float>          dataset size multiplier in (0, 1] "
+      "(default 1.0)\n"
       "  --runs <int>             repeated runs to aggregate (default 2)\n"
       "  --seed <uint64>          base RNG seed (default 1)\n"
       "  --save-embedding <path>  write the final embedding as CSV\n"
@@ -116,9 +117,13 @@ int main(int argc, char** argv) {
       std::exit(2);
     };
     if (std::strcmp(flag, "--dataset") == 0) {
-      dataset = value();
+      const char* v = value();
+      if (!FindDatasetSpec(v)) invalid(v);
+      dataset = v;
     } else if (std::strcmp(flag, "--model") == 0) {
-      model = value();
+      const char* v = value();
+      if (!FindModelKind(v)) invalid(v);
+      model = v;
     } else if (std::strcmp(flag, "--epochs") == 0) {
       const char* v = value();
       if (!ParseInt(v, 1, 1000000, &epochs)) invalid(v);
@@ -127,7 +132,7 @@ int main(int argc, char** argv) {
       if (!ParseDouble(v, &ratio) || ratio <= 0.0 || ratio > 1.0) invalid(v);
     } else if (std::strcmp(flag, "--scale") == 0) {
       const char* v = value();
-      if (!ParseDouble(v, &scale) || scale <= 0.0) invalid(v);
+      if (!ParseDouble(v, &scale) || scale <= 0.0 || scale > 1.0) invalid(v);
     } else if (std::strcmp(flag, "--runs") == 0) {
       const char* v = value();
       if (!ParseInt(v, 1, 10000, &runs)) invalid(v);

@@ -42,7 +42,8 @@ void Usage(const char* prog) {
       "graph:\n"
       "  --dataset <name>         cora|citeseer|photo|computers|cs|arxiv|"
       "products (default cora)\n"
-      "  --scale <float>          dataset size multiplier (default 1.0)\n"
+      "  --scale <float>          dataset size multiplier in (0, 1] "
+      "(default 1.0)\n"
       "  --seed <uint64>          RNG seed (default 1)\n"
       "  --epochs <int>           pre-training epochs with --train "
       "(default 20)\n"
@@ -143,9 +144,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--train") {
       train = true;
     } else if (arg == "--dataset" &&
-               (dataset = next() ? argv[i] : "", !dataset.empty())) {
+               (dataset = next() ? argv[i] : "",
+                e2gcl::FindDatasetSpec(dataset).has_value())) {
     } else if (arg == "--scale" && ParseDouble(next(), &scale) &&
-               scale > 0) {
+               scale > 0 && scale <= 1.0) {
     } else if (arg == "--seed" && ParseU64(next(), &seed)) {
     } else if (arg == "--epochs" && ParseInt(next(), 1, 100000, &epochs)) {
     } else if (arg == "--precompute") {
