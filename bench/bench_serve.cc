@@ -169,7 +169,6 @@ BenchRecord RunOverloadConfig(const Graph& g, const TrainerCheckpoint& ckpt,
   SetNumThreads(threads);
   ServeOptions options;
   options.max_batch = 16;
-  options.batch_deadline_us = 100;
   options.cache_capacity = 256;  // cold regime: batches are slow enough
                                  // for the queue to actually fill
   options.max_queue_depth = 4;
@@ -289,7 +288,6 @@ int main() {
                                std::int64_t{64}}) {
       ServeOptions lazy;
       lazy.max_batch = batch;
-      lazy.batch_deadline_us = 100;
       // Cache below the working set: steady-state eviction + recompute.
       lazy.cache_capacity = 256;
       records.push_back(RunConfig(
@@ -305,7 +303,6 @@ int main() {
     ServeOptions pre;
     pre.precompute = true;
     pre.max_batch = 16;
-    pre.batch_deadline_us = 100;
     records.push_back(RunConfig(g, ckpt, "serve/precompute/b16", threads,
                                 pre, /*warm=*/false));
 

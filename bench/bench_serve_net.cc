@@ -1,8 +1,8 @@
 // End-to-end network serving benchmark: closed-loop clients speaking
 // the binary protocol over loopback TCP against a NetServer, measuring
 // what the wire adds on top of the in-process serving path that
-// bench_serve times (framing, CRC, syscalls, the event loop, worker
-// handoff).
+// bench_serve times (framing, CRC, syscalls, the event loop, the
+// flusher's handoff back to the loop).
 //
 // By default the benchmark self-hosts: it builds the same 1024-node SBM
 // model as bench_serve, starts an EmbeddingServer + NetServer on an
@@ -278,16 +278,14 @@ int main(int argc, char** argv) {
     ServeOptions options;
     options.precompute = true;  // measure the wire, not the encoder
     options.max_batch = 16;
-    options.batch_deadline_us = 100;
     std::string error;
     server = EmbeddingServer::FromCheckpoint(g, ckpt, options, &error);
     if (server == nullptr) {
       std::fprintf(stderr, "bench_serve_net: %s\n", error.c_str());
       return 1;
     }
-    net::NetServerOptions nopts;
-    nopts.num_workers = 4;
-    netsrv = net::NetServer::Start(server.get(), nopts, &error);
+    netsrv = net::NetServer::Start(server.get(), net::NetServerOptions{},
+                                   &error);
     if (netsrv == nullptr) {
       std::fprintf(stderr, "bench_serve_net: %s\n", error.c_str());
       return 1;

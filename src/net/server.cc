@@ -42,12 +42,6 @@ constexpr std::size_t kMaxHttpHeaderBytes = 8192;
 /// least one request.
 double BurstOf(double qps) { return std::max(1.0, qps); }
 
-/// Bounded pending work across all connections; beyond it requests are
-/// shed kOverloaded before they are even queued for a worker, so a
-/// wedged serving queue cannot grow an unbounded deque in the net
-/// layer.
-constexpr std::size_t kWorkQueueCap = 4096;
-
 /// True when the '&'-separated query string contains `key=value`.
 bool HasQueryParam(const std::string& query, const std::string& key,
                    const std::string& value) {
@@ -88,7 +82,6 @@ struct NetCounters {
   Counter rate_limited = Counter::Get("net.rate_limited");
   Counter rejected_shutdown = Counter::Get("net.rejected.shutdown");
   Counter rejected_invalid = Counter::Get("net.rejected.invalid");
-  Counter rejected_pending = Counter::Get("net.rejected.pending");
   Counter requests = Counter::Get("net.requests");
   Counter responses = Counter::Get("net.responses");
   Counter http_requests = Counter::Get("net.http.requests");
@@ -124,9 +117,23 @@ struct NetServer::Conn {
   Clock::time_point last_activity;
 };
 
-struct NetServer::WorkItem {
-  std::uint64_t conn_id = 0;
-  Request request;
+/// The completion of one submitted request. The loop only creates it;
+/// the flusher runs it, encoding the response there and posting the
+/// bytes back to the loop.
+struct NetServer::Reply {
+  NetServer* net;
+  std::uint64_t conn_id;
+  std::uint64_t request_id;
+
+  void operator()(const EmbeddingResponse& r) const {
+    net->Post(conn_id, EncodeEmbeddingResponse(request_id, r));
+  }
+  void operator()(const ScoreResponse& r) const {
+    net->Post(conn_id, EncodeScoreResponse(request_id, r));
+  }
+  void operator()(const TopKResponse& r) const {
+    net->Post(conn_id, EncodeTopKResponse(request_id, r));
+  }
 };
 
 // ---------------------------------------------------------------------
@@ -147,9 +154,9 @@ std::unique_ptr<NetServer> NetServer::Start(EmbeddingServer* server,
 }
 
 bool NetServer::Init(std::string* error) {
-  if (options_.max_conns < 1 || options_.num_workers < 1 ||
-      options_.rate_limit_qps < 0.0 || options_.idle_timeout_ms < 0 ||
-      options_.port < 0 || options_.port > 65535) {
+  if (options_.max_conns < 1 || options_.rate_limit_qps < 0.0 ||
+      options_.idle_timeout_ms < 0 || options_.port < 0 ||
+      options_.port > 65535) {
     *error = "invalid NetServerOptions";
     return false;
   }
@@ -198,10 +205,6 @@ bool NetServer::Init(std::string* error) {
   }
   SetNonBlocking(listen_fd_);
 
-  workers_.reserve(static_cast<std::size_t>(options_.num_workers));
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
   loop_ = std::thread([this] { EventLoop(); });
   return true;
 }
@@ -210,15 +213,10 @@ NetServer::~NetServer() {
   BeginShutdown();
   if (loop_.joinable()) loop_.join();
   {
+    // Requests still in the serving queue call back into this object;
+    // wait until the last one has posted.
     MutexLock lock(mu_);
-    workers_stop_ = true;
-    // Notified under the lock (project convention; see
-    // thread_annotations.h) so the guarded stop flag and the wakeup
-    // stay paired under the analysis.
-    work_cv_.NotifyAll();
-  }
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
+    while (pending_ > 0) idle_cv_.Wait(lock);
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
@@ -305,7 +303,7 @@ void NetServer::EventLoop() E2GCL_LOOP_BODY {
       if (alive && (revents & POLLOUT) != 0) FlushConn(conn);
     }
 
-    // Route worker completions to their connections.
+    // Route posted completions to their connections.
     std::vector<std::pair<std::uint64_t, std::string>> done;
     {
       MutexLock lock(mu_);
@@ -428,6 +426,12 @@ bool NetServer::ReadConn(Conn* conn) {
 }
 
 void NetServer::ProcessInbuf(Conn* conn) {
+  // A connection set to close (a poisoned stream, or an HTTP request
+  // already answered) decodes nothing more.
+  if (conn->close_after_flush) {
+    conn->inbuf.clear();
+    return;
+  }
   if (!conn->probed) {
     if (conn->inbuf.size() < 4) return;
     conn->probed = true;
@@ -543,20 +547,45 @@ void NetServer::DispatchRequest(Conn* conn, const Request& request) {
   }
   {
     MutexLock lock(mu_);
-    if (work_queue_.size() >= kWorkQueueCap) {
-      counters.rejected_pending.Increment();
-      // Drop the lock before writing to the socket.
-    } else {
-      WorkItem item;
-      item.conn_id = conn->id;
-      item.request = request;
-      work_queue_.push_back(std::move(item));
-      conn->in_flight += 1;
-      work_cv_.NotifyOne();
-      return;
-    }
+    ++pending_;
   }
-  QueueOutput(conn, EncodeRejection(request, ServeStatus::kOverloaded));
+  const Reply reply{this, conn->id, request.request_id};
+  ServeStatus admitted = ServeStatus::kOk;
+  switch (request.type) {
+    case FrameType::kGetEmbedding:
+      admitted = server_->GetEmbedding(request.embed.node,
+                                       request.embed.options, reply);
+      break;
+    case FrameType::kScoreLink:
+      admitted = server_->ScoreLink(request.score.u, request.score.v,
+                                    request.score.options, reply);
+      break;
+    default:  // kTopKSimilar: validation let no other type through
+      admitted = server_->TopKSimilar(request.topk.node, request.topk.k,
+                                      request.topk.options, reply);
+      break;
+  }
+  if (admitted != ServeStatus::kOk) {
+    // Shed at the serving queue's door: no completion will post.
+    {
+      MutexLock lock(mu_);
+      --pending_;
+    }
+    QueueOutput(conn, EncodeRejection(request, admitted));
+    return;
+  }
+  conn->in_flight += 1;
+}
+
+void NetServer::Post(std::uint64_t conn_id, std::string bytes) {
+  MutexLock lock(mu_);
+  completions_.emplace_back(conn_id, std::move(bytes));
+  // The wake byte goes out before pending_ drops, under the same lock:
+  // once the destructor sees zero, no completion touches the pipe or
+  // this object again.
+  const char byte = 1;
+  (void)::write(wake_write_fd_, &byte, 1);
+  if (--pending_ == 0) idle_cv_.NotifyAll();
 }
 
 void NetServer::ProcessHttp(Conn* conn) {
@@ -772,57 +801,6 @@ std::string NetServer::MetricsProm() {
     out += prom + "_count " + std::to_string(h.total) + "\n";
   }
   return out;
-}
-
-// ---------------------------------------------------------------------
-// Workers: the only threads that make blocking serving calls.
-
-void NetServer::WorkerLoop() {
-  for (;;) {
-    WorkItem item;
-    {
-      MutexLock lock(mu_);
-      while (!workers_stop_ && work_queue_.empty()) work_cv_.Wait(lock);
-      if (work_queue_.empty()) return;  // stop requested, queue drained
-      item = std::move(work_queue_.front());
-      work_queue_.pop_front();
-    }
-    std::string encoded;
-    switch (item.request.type) {
-      case FrameType::kGetEmbedding: {
-        const EmbeddingResponse r = server_->GetEmbedding(
-            item.request.embed.node, item.request.embed.options);
-        encoded = EncodeEmbeddingResponse(item.request.request_id, r);
-        break;
-      }
-      case FrameType::kScoreLink: {
-        const ScoreResponse r =
-            server_->ScoreLink(item.request.score.u, item.request.score.v,
-                               item.request.score.options);
-        encoded = EncodeScoreResponse(item.request.request_id, r);
-        break;
-      }
-      case FrameType::kTopKSimilar: {
-        const TopKResponse r =
-            server_->TopKSimilar(item.request.topk.node, item.request.topk.k,
-                                 item.request.topk.options);
-        encoded = EncodeTopKResponse(item.request.request_id, r);
-        break;
-      }
-      default: {
-        EmbeddingResponse r;
-        r.status = ServeStatus::kInvalidArgument;
-        encoded = EncodeEmbeddingResponse(item.request.request_id, r);
-        break;
-      }
-    }
-    {
-      MutexLock lock(mu_);
-      completions_.push_back({item.conn_id, std::move(encoded)});
-    }
-    const char byte = 1;
-    (void)::write(wake_write_fd_, &byte, 1);
-  }
 }
 
 }  // namespace net

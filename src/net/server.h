@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,9 +35,6 @@ struct NetServerOptions {
   /// serving queue, so the queue's own admission control stays the
   /// *second* line of defense.
   double rate_limit_qps = 0.0;
-  /// Worker threads that execute (blocking) EmbeddingServer calls so
-  /// the event loop never blocks on the serving queue.
-  int num_workers = 4;
   /// Close a connection that has been completely silent (no readable
   /// bytes, no in-flight work) for this long. 0 = never. This is the
   /// slow-loris backstop: a half-sent frame cannot hold a connection
@@ -49,12 +45,11 @@ struct NetServerOptions {
 /// Dependency-free TCP front-end for an EmbeddingServer.
 ///
 /// One event-loop thread multiplexes every connection through poll(2)
-/// and never blocks on the serving queue: decoded requests are handed
-/// to a small worker pool whose threads make the blocking status-typed
-/// EmbeddingServer calls and queue the encoded responses back for the
-/// loop to flush. Two
-/// protocols share the port, distinguished by the first bytes of each
-/// connection:
+/// and never blocks on the serving queue: it submits decoded requests
+/// through the asynchronous EmbeddingServer API, whose completions
+/// encode each response on the flusher thread and post it back for the
+/// loop to flush. Two protocols share the port, distinguished by the
+/// first bytes of each connection:
 ///
 ///  * the length-prefixed binary protocol (net/protocol.h) mapping
 ///    GetEmbedding / ScoreLink / TopKSimilar / Stats onto the typed
@@ -70,21 +65,23 @@ struct NetServerOptions {
 /// deterministic: BeginShutdown() closes the listener, new requests on
 /// live connections fail fast with kShutdown, admitted requests
 /// complete and their responses flush (bounded by a 2 s grace period),
-/// and the destructor joins every thread. Destroy the NetServer before
-/// the EmbeddingServer it fronts.
+/// and the destructor joins the loop and waits until every submitted
+/// request has called back. Destroy the NetServer before the
+/// EmbeddingServer it fronts.
 ///
 /// Emits net.* counters (accepted, rejected, frames, rate-limited,
 /// http) and a net.connections gauge; see DESIGN.md "Network
 /// protocol".
 class NetServer {
  public:
-  /// Binds, listens, and starts the event loop + workers. Returns
-  /// nullptr with `*error` set when the socket setup fails.
+  /// Binds, listens, and starts the event loop. Returns nullptr with
+  /// `*error` set when the socket setup fails.
   static std::unique_ptr<NetServer> Start(EmbeddingServer* server,
                                           const NetServerOptions& options,
                                           std::string* error);
 
-  /// BeginShutdown() + join all threads.
+  /// BeginShutdown() + join the loop + wait for every submitted
+  /// request's completion.
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
@@ -103,7 +100,7 @@ class NetServer {
 
  private:
   struct Conn;
-  struct WorkItem;
+  struct Reply;
 
   NetServer(EmbeddingServer* server, const NetServerOptions& options);
   bool Init(std::string* error);
@@ -112,7 +109,6 @@ class NetServer {
   /// reachable from here runs on the loop thread and must never block
   /// beyond its bounded poll(2) wait.
   void EventLoop() E2GCL_LOOP_BODY;
-  void WorkerLoop();
 
   void AcceptNew();
   /// Reads whatever is available; false = connection is gone.
@@ -122,8 +118,11 @@ class NetServer {
   void ProcessBinary(Conn* conn);
   void ProcessHttp(Conn* conn);
   /// Decoded-request dispatch: shed (rate limit/shutdown), validate,
-  /// answer inline (Stats) or enqueue for a worker.
+  /// answer inline (Stats) or submit to the serving queue.
   void DispatchRequest(Conn* conn, const Request& request);
+  /// Hands an encoded response for `conn_id` to the loop. Runs on the
+  /// flusher thread, as the last act of a submitted request.
+  void Post(std::uint64_t conn_id, std::string bytes);
   /// Appends bytes to conn's output (loop thread only) and flushes.
   void QueueOutput(Conn* conn, const std::string& bytes);
   /// Flushes pending output; false = connection is gone.
@@ -151,24 +150,24 @@ class NetServer {
 
   /// Loop-owned: connections keyed by id (ordered map: housekeeping
   /// iterates it and must be deterministic). Only the event loop
-  /// creates/destroys entries; workers reach a Conn's completion queue
-  /// through completions_ below, never through this map.
+  /// creates/destroys entries; completions reach a Conn through
+  /// completions_ below, never through this map.
   std::map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::uint64_t next_conn_id_ = 1;
   std::atomic<std::int64_t> live_conns_{0};
 
-  /// Worker queue + completions, shared between loop and workers.
+  /// Completions, shared between the loop and the flusher.
   mutable Mutex mu_;
-  CondVar work_cv_ E2GCL_GUARDED_BY(mu_);
-  std::deque<WorkItem> work_queue_ E2GCL_GUARDED_BY(mu_);
-  /// Encoded responses finished by workers: (conn id, bytes). The loop
+  /// Encoded responses posted by completions: (conn id, bytes). The loop
   /// drains this after every wakeup and routes bytes to live conns.
   std::vector<std::pair<std::uint64_t, std::string>> completions_
       E2GCL_GUARDED_BY(mu_);
-  bool workers_stop_ E2GCL_GUARDED_BY(mu_) = false;
+  /// Submitted requests whose completion has not yet posted; the
+  /// destructor waits on idle_cv_ for zero.
+  std::int64_t pending_ E2GCL_GUARDED_BY(mu_) = 0;
+  CondVar idle_cv_ E2GCL_GUARDED_BY(mu_);
 
   std::atomic<bool> shutdown_{false};
-  std::vector<std::thread> workers_;
   std::thread loop_;
 };
 

@@ -1,6 +1,7 @@
 #include "serve/embedding_server.h"
 
 #include <algorithm>
+#include <future>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -17,8 +18,8 @@ void RecordRequestMetrics(std::int64_t latency_us) {
   if (!ObsEnabled()) return;
   static const Counter requests = Counter::Get("serve.requests");
   static const Histogram latency = Histogram::Get(
-      "serve.latency_us",
-      {50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000, 200000});
+      "serve.latency_us", {2, 5, 10, 20, 50, 100, 250, 500, 1000, 2500, 5000,
+                           10000, 50000, 200000});
   requests.Increment();
   latency.Record(latency_us);
 }
@@ -124,35 +125,66 @@ TopKResult RankTopK(std::vector<std::int64_t> candidates,
 }  // namespace
 
 struct EmbeddingServer::Request {
+  using Clock = std::chrono::steady_clock;
   enum class Kind { kEmbedding, kScore, kTopK };
-  Kind kind = Kind::kEmbedding;
+
+  Request(Kind kind, std::int64_t a, std::int64_t b,
+          const ServeRequestOptions& options)
+      : kind(kind),
+        a(a),
+        b(b),
+        allow_degraded(options.allow_degraded),
+        enqueue(Clock::now()) {
+    // deadline_us may come off the wire unbounded: one beyond the
+    // clock's range is no deadline, not an overflow.
+    const std::int64_t range_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            Clock::time_point::max() - enqueue)
+            .count();
+    if (options.deadline_us > 0 && options.deadline_us < range_us) {
+      deadline = enqueue + std::chrono::microseconds(options.deadline_us);
+    }
+  }
+
+  void MoveResultTo(EmbeddingResponse* out) { out->row = std::move(row); }
+  void MoveResultTo(ScoreResponse* out) { out->score = score; }
+  void MoveResultTo(TopKResponse* out) { out->result = std::move(topk); }
+
+  /// Runs on the flusher with no lock held. The flusher owns the
+  /// deadline: a request answered after it completes kDeadlineExceeded,
+  /// the status its blocking caller has already left with, and is
+  /// counted here, once.
+  void Complete() {
+    const Clock::time_point now = Clock::now();
+    if (now >= deadline) status = ServeStatus::kDeadlineExceeded;
+    RecordRejected(status);
+    RecordRequestMetrics(
+        std::chrono::duration_cast<std::chrono::microseconds>(now - enqueue)
+            .count());
+    done(*this);
+  }
+
+  Kind kind;
   /// kEmbedding/kTopK: the query node. kScore: u.
   std::int64_t a = 0;
   /// kScore: v. kTopK: k.
   std::int64_t b = 0;
+  bool allow_degraded = true;
+  Clock::time_point enqueue;
+  /// time_point::max() when the request has no deadline.
+  Clock::time_point deadline = Clock::time_point::max();
   /// The model generation this request was admitted under (pinned: a
   /// concurrent reload cannot change the model mid-request).
   std::shared_ptr<ModelState> state;
+  /// Serve this TopK request from the approximate scan (load shedding).
+  bool degrade = false;
+  /// Written only by the flusher, before `done` runs.
+  ServeStatus status = ServeStatus::kOk;
   std::vector<float> row;
   float score = 0.0f;
   TopKResult topk;
-  /// Written by the flusher OUTSIDE mu_ while serving (the flusher is
-  /// the only writer before `done`); promoted into `status` under mu_.
-  ServeStatus result_status = ServeStatus::kOk;
-  /// Final caller-visible status. Only ever written under mu_: by the
-  /// flusher when it completes/expires the request, or by the caller
-  /// when it abandons at its deadline.
-  ServeStatus status = ServeStatus::kOk;
-  /// Serve this TopK request from the approximate scan (load shedding).
-  bool degrade = false;
-  /// Written under mu_ after the results above; readers observe the
-  /// results through the same lock (release/acquire on mu_).
-  bool done = false;
-  /// The caller gave up at its deadline and will never read the result.
-  bool abandoned = false;
-  bool has_deadline = false;
-  std::chrono::steady_clock::time_point deadline;
-  std::chrono::steady_clock::time_point enqueue;
+  /// Hands the response on; see Submit.
+  std::function<void(Request&)> done;
 };
 
 std::unique_ptr<EmbeddingServer> EmbeddingServer::Load(
@@ -184,8 +216,6 @@ EmbeddingServer::EmbeddingServer(const Graph& graph,
       options_(options),
       state_(std::move(state)) {
   E2GCL_CHECK(options_.max_batch >= 1);
-  E2GCL_CHECK(options_.batch_deadline_us >= 0);
-  E2GCL_CHECK(options_.batch_gap_us >= 0);
   E2GCL_CHECK(options_.rescore_factor >= 0);
   E2GCL_CHECK(options_.max_queue_depth >= 1);
   E2GCL_CHECK(options_.degrade_watermark >= 0);
@@ -214,51 +244,44 @@ void EmbeddingServer::BeginShutdown() {
 
 EmbeddingResponse EmbeddingServer::GetEmbedding(
     std::int64_t node, const ServeRequestOptions& request) {
-  E2GCL_CHECK_MSG(node >= 0 && node < graph_->num_nodes,
-                  "GetEmbedding: node %lld out of range",
-                  static_cast<long long>(node));
-  auto req = std::make_shared<Request>();
-  req->kind = Request::Kind::kEmbedding;
-  req->a = node;
-  EmbeddingResponse response;
-  response.status = Submit(req, request);
-  response.generation = req->state != nullptr ? req->state->generation : 0;
-  if (response.served()) response.row = std::move(req->row);
-  return response;
+  return Await<EmbeddingResponse>(
+      std::make_unique<Request>(Request::Kind::kEmbedding, node, 0, request));
+}
+
+ServeStatus EmbeddingServer::GetEmbedding(
+    std::int64_t node, const ServeRequestOptions& request,
+    std::function<void(EmbeddingResponse)> done) {
+  return Submit(
+      std::make_unique<Request>(Request::Kind::kEmbedding, node, 0, request),
+      std::move(done));
 }
 
 ScoreResponse EmbeddingServer::ScoreLink(std::int64_t u, std::int64_t v,
                                          const ServeRequestOptions& request) {
-  E2GCL_CHECK_MSG(u >= 0 && u < graph_->num_nodes && v >= 0 &&
-                      v < graph_->num_nodes,
-                  "ScoreLink: node pair (%lld, %lld) out of range",
-                  static_cast<long long>(u), static_cast<long long>(v));
-  auto req = std::make_shared<Request>();
-  req->kind = Request::Kind::kScore;
-  req->a = u;
-  req->b = v;
-  ScoreResponse response;
-  response.status = Submit(req, request);
-  response.generation = req->state != nullptr ? req->state->generation : 0;
-  if (response.served()) response.score = req->score;
-  return response;
+  return Await<ScoreResponse>(
+      std::make_unique<Request>(Request::Kind::kScore, u, v, request));
+}
+
+ServeStatus EmbeddingServer::ScoreLink(
+    std::int64_t u, std::int64_t v, const ServeRequestOptions& request,
+    std::function<void(ScoreResponse)> done) {
+  return Submit(
+      std::make_unique<Request>(Request::Kind::kScore, u, v, request),
+      std::move(done));
 }
 
 TopKResponse EmbeddingServer::TopKSimilar(std::int64_t node, std::int64_t k,
                                           const ServeRequestOptions& request) {
-  E2GCL_CHECK_MSG(node >= 0 && node < graph_->num_nodes,
-                  "TopKSimilar: node %lld out of range",
-                  static_cast<long long>(node));
-  E2GCL_CHECK(k >= 0);
-  auto req = std::make_shared<Request>();
-  req->kind = Request::Kind::kTopK;
-  req->a = node;
-  req->b = k;
-  TopKResponse response;
-  response.status = Submit(req, request);
-  response.generation = req->state != nullptr ? req->state->generation : 0;
-  if (response.served()) response.result = std::move(req->topk);
-  return response;
+  return Await<TopKResponse>(
+      std::make_unique<Request>(Request::Kind::kTopK, node, k, request));
+}
+
+ServeStatus EmbeddingServer::TopKSimilar(
+    std::int64_t node, std::int64_t k, const ServeRequestOptions& request,
+    std::function<void(TopKResponse)> done) {
+  return Submit(
+      std::make_unique<Request>(Request::Kind::kTopK, node, k, request),
+      std::move(done));
 }
 
 // --- Hot reload. -----------------------------------------------------------
@@ -356,152 +379,132 @@ const QuantizedEmbeddingTable& EmbeddingServer::quantized() const {
 
 // --- Queue plumbing. -------------------------------------------------------
 
-ServeStatus EmbeddingServer::Submit(const std::shared_ptr<Request>& req,
-                                    const ServeRequestOptions& request) {
-  TraceSpan span("serve_request");
-  const auto t0 = std::chrono::steady_clock::now();
-  ServeStatus status = ServeStatus::kOk;
-  {
-    MutexLock lock(mu_);
-    if (shutdown_) {
-      RecordRejected(ServeStatus::kShutdown);
-      return ServeStatus::kShutdown;
-    }
-    if (static_cast<std::int64_t>(queue_.size()) >=
-        options_.max_queue_depth) {
-      // Admission control: shed the request instead of growing an
-      // unbounded queue behind a slow flusher.
-      RecordRejected(ServeStatus::kOverloaded);
-      return ServeStatus::kOverloaded;
-    }
-    // Pin the generation at admission: a reload swapping state_ after
-    // this line does not affect this request.
-    req->state = state_;
-    if (req->kind == Request::Kind::kTopK && request.allow_degraded &&
-        options_.degrade_watermark > 0 && !req->state->quantized.empty() &&
-        static_cast<std::int64_t>(queue_.size()) >=
-            options_.degrade_watermark) {
-      req->degrade = true;
-    }
-    req->enqueue = t0;
-    if (request.deadline_us > 0) {
-      req->has_deadline = true;
-      req->deadline = t0 + std::chrono::microseconds(request.deadline_us);
-    }
-    queue_.push_back(req);
-    UpdateQueueGauge(static_cast<std::int64_t>(queue_.size()));
-    queue_cv_.NotifyOne();
-    if (req->has_deadline) {
-      while (!req->done) {
-        if (done_cv_.WaitUntil(lock, req->deadline) ==
-                std::cv_status::timeout &&
-            !req->done) {
-          // Deadline expired with the request still unserved (queued or
-          // mid-batch): release the caller NOW. The flusher discards the
-          // request when it reaches it; the shared_ptr keeps it alive.
-          req->abandoned = true;
-          req->status = ServeStatus::kDeadlineExceeded;
-          RecordRejected(ServeStatus::kDeadlineExceeded);
-          return ServeStatus::kDeadlineExceeded;
-        }
-      }
-    } else {
-      while (!req->done) done_cv_.Wait(lock);
-    }
-    status = req->status;
+template <typename Response>
+ServeStatus EmbeddingServer::Submit(std::unique_ptr<Request> req,
+                                    std::function<void(Response)> done,
+                                    std::uint64_t* generation) {
+  // NetServer validates remote arguments before they get here.
+  const std::int64_t n = graph_->num_nodes;
+  E2GCL_CHECK_MSG(req->a >= 0 && req->a < n && req->b >= 0 &&
+                      (req->kind != Request::Kind::kScore || req->b < n),
+                  "query arguments (%lld, %lld) out of range",
+                  static_cast<long long>(req->a),
+                  static_cast<long long>(req->b));
+  req->done = [done = std::move(done)](Request& r) {
+    Response response;
+    response.status = r.status;
+    response.generation = r.state->generation;
+    if (response.served()) r.MoveResultTo(&response);
+    done(std::move(response));
+  };
+  MutexLock lock(mu_);
+  if (shutdown_) {
+    RecordRejected(ServeStatus::kShutdown);
+    return ServeStatus::kShutdown;
   }
-  RecordRequestMetrics(std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count());
-  return status;
+  if (static_cast<std::int64_t>(queue_.size()) >= options_.max_queue_depth) {
+    // Admission control: shed the request instead of growing an
+    // unbounded queue behind a slow flusher.
+    RecordRejected(ServeStatus::kOverloaded);
+    return ServeStatus::kOverloaded;
+  }
+  // Pin the generation at admission: a reload swapping state_ after
+  // this line does not affect this request.
+  req->state = state_;
+  if (generation != nullptr) *generation = state_->generation;
+  req->degrade = req->kind == Request::Kind::kTopK && req->allow_degraded &&
+                 options_.degrade_watermark > 0 &&
+                 !req->state->quantized.empty() &&
+                 static_cast<std::int64_t>(queue_.size()) >=
+                     options_.degrade_watermark;
+  queue_.push_back(std::move(req));
+  UpdateQueueGauge(static_cast<std::int64_t>(queue_.size()));
+  queue_cv_.NotifyOne();
+  return ServeStatus::kOk;
+}
+
+template <typename Response>
+Response EmbeddingServer::Await(std::unique_ptr<Request> req) {
+  TraceSpan span("serve_request");
+  const Request::Clock::time_point deadline = req->deadline;
+  auto answer = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = answer->get_future();
+  std::uint64_t generation = 0;
+  Response response;
+  response.status = Submit<Response>(
+      std::move(req), [answer](Response r) { answer->set_value(std::move(r)); },
+      &generation);
+  if (response.status != ServeStatus::kOk) return response;
+  if (deadline == Request::Clock::time_point::max() ||
+      future.wait_until(deadline) == std::future_status::ready) {
+    return future.get();
+  }
+  // Released at the deadline with the request still queued or mid-batch.
+  // The flusher completes it kDeadlineExceeded, and counts it, when it
+  // gets there.
+  response.status = ServeStatus::kDeadlineExceeded;
+  response.generation = generation;
+  return response;
 }
 
 void EmbeddingServer::FlusherLoop() {
   MutexLock lock(mu_);
   for (;;) {
     while (!shutdown_ && queue_.empty()) queue_cv_.Wait(lock);
-    if (queue_.empty()) {
-      if (shutdown_) return;
-      continue;
-    }
-    // Micro-batching: keep collecting until the batch is full, but never
-    // hold the oldest request past its deadline. With the default greedy
-    // gap (batch_gap_us == 0) an idle flusher ships whatever is queued
-    // right away — batches still form under load because requests pile
-    // up while the previous batch is served. A positive gap lets the
-    // flusher linger that long for stragglers, deadline-capped. A
-    // shutdown flushes whatever is queued immediately.
-    if (options_.batch_gap_us > 0 && !shutdown_) {
-      const auto deadline =
-          queue_.front()->enqueue +
-          std::chrono::microseconds(options_.batch_deadline_us);
-      const auto linger = std::min(
-          deadline, std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(options_.batch_gap_us));
-      while (!shutdown_ &&
-             static_cast<std::int64_t>(queue_.size()) < options_.max_batch &&
-             queue_cv_.WaitUntil(lock, linger) != std::cv_status::timeout) {
-      }
-    }
-    bool expired_any = false;
-    std::vector<std::shared_ptr<Request>> batch = PopBatchLocked(&expired_any);
+    if (queue_.empty()) return;  // shut down and drained
+    // Greedy micro-batching: whatever is queued ships now. Batches still
+    // form under load because requests pile up while the previous batch
+    // is served.
+    std::vector<std::unique_ptr<Request>> expired;
+    std::vector<std::unique_ptr<Request>> batch = PopBatchLocked(&expired);
     UpdateQueueGauge(static_cast<std::int64_t>(queue_.size()));
-    if (expired_any) done_cv_.NotifyAll();
-    if (batch.empty()) continue;
-    // The batch is served with mu_ dropped — compute never blocks
-    // admission, introspection, or reload swaps. The fault hook below
-    // likewise runs unlocked (hold-lock-across-callback contract).
+    // Compute and completions run with mu_ dropped: they never block
+    // admission, introspection, or reload swaps, and the callbacks and
+    // the fault hook run unlocked (hold-lock-across-callback contract).
     lock.Unlock();
-    if (options_.fault_injector.stall_batch) {
-      options_.fault_injector.stall_batch(
-          static_cast<std::int64_t>(batch.size()));
+    for (const auto& r : expired) r->Complete();
+    if (!batch.empty()) {
+      if (options_.fault_injector.stall_batch) {
+        options_.fault_injector.stall_batch(
+            static_cast<std::int64_t>(batch.size()));
+      }
+      ProcessBatch(batch);
+      for (const auto& r : batch) r->Complete();
     }
-    ProcessBatch(batch);
+    // Freed unlocked too: a request may hold the last reference to its
+    // callback's state or to a replaced generation.
+    expired.clear();
+    batch.clear();
     lock.Lock();
-    for (const auto& r : batch) {
-      if (!r->abandoned) r->status = r->result_status;
-      r->done = true;
-    }
-    done_cv_.NotifyAll();
   }
 }
 
-std::vector<std::shared_ptr<EmbeddingServer::Request>>
-EmbeddingServer::PopBatchLocked(bool* expired_any) E2GCL_REQUIRES(mu_) {
-  // Pop a batch: skip abandoned requests, fail already-expired ones
-  // fast (their compute would be wasted — the caller is gone or about
-  // to give up), and stop at a generation boundary so one batch never
-  // mixes models (each batch computes rows with exactly one encoder).
-  std::vector<std::shared_ptr<Request>> batch;
+std::vector<std::unique_ptr<EmbeddingServer::Request>>
+EmbeddingServer::PopBatchLocked(std::vector<std::unique_ptr<Request>>* expired)
+    E2GCL_REQUIRES(mu_) {
+  // Pop a batch: set aside already-expired requests (their compute would
+  // be wasted: the caller is gone or about to give up), and stop at a
+  // generation boundary so one batch never mixes models (each batch
+  // computes rows with exactly one encoder).
+  std::vector<std::unique_ptr<Request>> batch;
   const auto now = std::chrono::steady_clock::now();
-  *expired_any = false;
   while (static_cast<std::int64_t>(batch.size()) < options_.max_batch &&
          !queue_.empty()) {
-    std::shared_ptr<Request>& front = queue_.front();
-    if (front->abandoned) {
-      front->done = true;
-      queue_.pop_front();
-      continue;
-    }
-    if (front->has_deadline && now >= front->deadline) {
-      front->status = ServeStatus::kDeadlineExceeded;
-      front->done = true;
-      RecordRejected(ServeStatus::kDeadlineExceeded);
-      *expired_any = true;
-      queue_.pop_front();
-      continue;
-    }
-    if (!batch.empty() && front->state.get() != batch.front()->state.get()) {
+    std::unique_ptr<Request>& front = queue_.front();
+    if (now >= front->deadline) {
+      expired->push_back(std::move(front));
+    } else if (!batch.empty() && front->state != batch.front()->state) {
       break;
+    } else {
+      batch.push_back(std::move(front));
     }
-    batch.push_back(std::move(front));
     queue_.pop_front();
   }
   return batch;
 }
 
 void EmbeddingServer::ProcessBatch(
-    const std::vector<std::shared_ptr<Request>>& batch) {
+    const std::vector<std::unique_ptr<Request>>& batch) {
   TraceSpan span("serve_batch");
   RecordBatchMetrics(static_cast<std::int64_t>(batch.size()));
   // Every request in the batch shares one pinned generation.
@@ -578,7 +581,7 @@ void EmbeddingServer::ServeTopK(ModelState& state, Request* req,
   if (!quantized || req->degrade || options_.rescore_factor == 0) {
     req->topk = RankTopK(std::move(others), scores, k);
     if (req->degrade) {
-      req->result_status = ServeStatus::kDegraded;
+      req->status = ServeStatus::kDegraded;
       RecordDegraded();
     }
     return;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -34,20 +35,12 @@ struct ServeOptions {
   /// budget is split evenly across shards; see ShardedRowCache).
   std::int64_t cache_capacity = 4096;
   int cache_shards = 8;
-  /// Micro-batching: a batch is flushed as soon as `max_batch` requests
-  /// are queued OR the oldest queued request has waited
-  /// `batch_deadline_us` microseconds, whichever comes first.
-  /// max_batch = 1 disables batching (every request served solo).
-  std::int64_t max_batch = 32;
-  std::int64_t batch_deadline_us = 200;
-  /// How long an idle flusher lingers for more requests before flushing
-  /// a partial batch. 0 (the default) is greedy: whatever is queued when
-  /// the flusher is free ships immediately — under load batches still
+  /// Micro-batching is greedy: whatever is queued when the flusher is
+  /// free ships at once, up to `max_batch` requests. Under load batches
   /// form naturally while the previous batch is being served, and a lone
-  /// request never waits out the deadline. A positive gap trades latency
-  /// for bigger batches; `batch_deadline_us` stays the hard cap either
-  /// way.
-  std::int64_t batch_gap_us = 0;
+  /// request never waits for batch-mates. max_batch = 1 disables
+  /// batching (every request served solo).
+  std::int64_t max_batch = 32;
   /// Serve TopKSimilar from a symmetric int8 per-row quantized copy of
   /// the embedding table (built once per model generation; ~4x smaller
   /// than the fp32 matrix that lazy TopK would otherwise materialize).
@@ -91,15 +84,15 @@ struct ServeOptions {
 /// funnel through a micro-batching queue drained by a single flusher
 /// thread; the flusher computes missing rows in one frontier-batched
 /// GcnEncoder::EncodeRows call per batch (riding the global thread
-/// pool) and fills per-request results. Any number of threads may query
-/// concurrently.
+/// pool) and completes each request through its callback. Any number of
+/// threads may query concurrently.
 ///
 /// Robustness layer (DESIGN.md "Serving robustness model"):
-///  * Every call has a status-typed variant carrying ServeRequestOptions
-///    with a deadline: expired requests fail fast with
-///    kDeadlineExceeded — the caller is released at its deadline even if
-///    the flusher is wedged, and an expired queued request is dropped
-///    without paying its compute.
+///  * Every call carries ServeRequestOptions with a deadline, which the
+///    flusher owns: a request still queued at its deadline, or answered
+///    after it, completes kDeadlineExceeded, and an expired queued
+///    request is dropped without paying its compute. A blocking caller
+///    is released at its deadline even if the flusher is wedged.
 ///  * Admission control sheds load at the max_queue_depth watermark
 ///    (kOverloaded) and degrades eligible TopK requests under pressure
 ///    (kDegraded, int8 approximate scan, always flagged and counted).
@@ -145,21 +138,38 @@ class EmbeddingServer {
   EmbeddingServer& operator=(const EmbeddingServer&) = delete;
 
   // --- Status-typed API (deadline/admission aware). ------------------------
+  //
+  // Each query comes in two forms. The asynchronous one returns kOk when
+  // the request was admitted: `done` then runs exactly once, on the
+  // flusher thread with no lock held, with the response. Any other
+  // status is the admission rejection (kShutdown, kOverloaded), and
+  // `done` never runs. `done` must not wait on this server; it may
+  // submit further requests. The blocking form is the asynchronous one
+  // plus a wait: it returns the response, or kDeadlineExceeded at the
+  // request's deadline (never, when deadline_us == 0).
 
-  /// The embedding row of `node`. Blocks at most until the request's
-  /// deadline (forever when deadline_us == 0).
+  /// The embedding row of `node`.
   EmbeddingResponse GetEmbedding(std::int64_t node,
                                  const ServeRequestOptions& request);
+  ServeStatus GetEmbedding(std::int64_t node,
+                           const ServeRequestOptions& request,
+                           std::function<void(EmbeddingResponse)> done);
 
   /// Dot-product link score <z_u, z_v>.
   ScoreResponse ScoreLink(std::int64_t u, std::int64_t v,
                           const ServeRequestOptions& request);
+  ServeStatus ScoreLink(std::int64_t u, std::int64_t v,
+                        const ServeRequestOptions& request,
+                        std::function<void(ScoreResponse)> done);
 
   /// The k most similar nodes to `node` by dot-product score. May be
   /// answered degraded (see ServeOptions::degrade_watermark) when
   /// `request.allow_degraded` is set.
   TopKResponse TopKSimilar(std::int64_t node, std::int64_t k,
                            const ServeRequestOptions& request);
+  ServeStatus TopKSimilar(std::int64_t node, std::int64_t k,
+                          const ServeRequestOptions& request,
+                          std::function<void(TopKResponse)> done);
 
   // --- Hot checkpoint reload. ----------------------------------------------
 
@@ -206,21 +216,30 @@ class EmbeddingServer {
  private:
   struct Request;
 
-  /// Admission control + enqueue + bounded wait. Returns the request's
-  /// final status. Acquires mu_ internally.
-  ServeStatus Submit(const std::shared_ptr<Request>& req,
-                     const ServeRequestOptions& request) E2GCL_EXCLUDES(mu_);
+  /// Argument check (CHECK-fails out of range), admission control and
+  /// enqueue of `req`, whose completion hands a `Response` to `done`.
+  /// kOk = admitted: the flusher then runs `done` exactly once, and
+  /// `*generation` (when non-null) holds the generation the request is
+  /// pinned to. Any other status is the rejection. Acquires mu_
+  /// internally.
+  template <typename Response>
+  ServeStatus Submit(std::unique_ptr<Request> req,
+                     std::function<void(Response)> done,
+                     std::uint64_t* generation = nullptr) E2GCL_EXCLUDES(mu_);
+  /// The blocking form of a query: Submit, then wait for the response,
+  /// at most until the request's deadline.
+  template <typename Response>
+  Response Await(std::unique_ptr<Request> req);
   /// Single-threaded flusher: batches by size/deadline/generation,
-  /// serves, signals.
+  /// serves, completes.
   void FlusherLoop() E2GCL_EXCLUDES(mu_);
-  /// Pops the next batch off queue_ (size/deadline/generation bounded,
-  /// abandoned requests skipped). Sets *expired_any when it
-  /// deadline-failed at least one request so the caller wakes waiters.
-  std::vector<std::shared_ptr<Request>> PopBatchLocked(bool* expired_any)
-      E2GCL_REQUIRES(mu_);
+  /// Pops the next batch off queue_ (size/generation bounded). Requests
+  /// already past their deadline go to `*expired` instead.
+  std::vector<std::unique_ptr<Request>> PopBatchLocked(
+      std::vector<std::unique_ptr<Request>>* expired) E2GCL_REQUIRES(mu_);
   /// Serves one popped batch (runs on the flusher thread, outside mu_).
   /// Every request in the batch is pinned to the same generation.
-  void ProcessBatch(const std::vector<std::shared_ptr<Request>>& batch);
+  void ProcessBatch(const std::vector<std::unique_ptr<Request>>& batch);
   /// Rows for sorted-unique `nodes`, aligned with `nodes` — cache/lazy
   /// or precomputed, depending on the mode.
   std::vector<std::vector<float>> FetchRows(
@@ -243,8 +262,7 @@ class EmbeddingServer {
   /// pin their own shared_ptr copy at admission.
   std::shared_ptr<ModelState> state_ E2GCL_GUARDED_BY(mu_);
   CondVar queue_cv_ E2GCL_GUARDED_BY(mu_);  // wakes the flusher
-  CondVar done_cv_ E2GCL_GUARDED_BY(mu_);   // wakes blocked callers
-  std::deque<std::shared_ptr<Request>> queue_ E2GCL_GUARDED_BY(mu_);
+  std::deque<std::unique_ptr<Request>> queue_ E2GCL_GUARDED_BY(mu_);
   bool shutdown_ E2GCL_GUARDED_BY(mu_) = false;
   /// Single-reload gate (kReloading for the losers of the race).
   std::atomic<bool> reload_in_flight_{false};

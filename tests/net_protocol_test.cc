@@ -34,7 +34,9 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "nn/gcn.h"
+#include "obs/metrics.h"
 #include "serve/embedding_server.h"
+#include "serve_test_util.h"
 
 namespace e2gcl {
 namespace net {
@@ -66,11 +68,12 @@ TrainerCheckpoint MakeCheckpoint(const Graph& g, std::uint64_t seed = 3) {
 /// ephemeral loopback port.
 class NetProtocolTest : public ::testing::Test {
  protected:
-  void StartServer(NetServerOptions net_options = {}) {
+  void StartServer(NetServerOptions net_options = {},
+                   const ServeOptions& serve_options = {}) {
     graph_ = std::make_unique<Graph>(ServeGraph());
     std::string error;
     server_ = EmbeddingServer::FromCheckpoint(*graph_, MakeCheckpoint(*graph_),
-                                              ServeOptions(), &error);
+                                              serve_options, &error);
     ASSERT_NE(server_, nullptr) << error;
     net_ = NetServer::Start(server_.get(), net_options, &error);
     ASSERT_NE(net_, nullptr) << error;
@@ -357,6 +360,46 @@ TEST_F(NetProtocolTest, OversizedDeclaredLengthGetsTypedErrorThenClose) {
   ExpectServerHealthy(port(), server_.get());
 }
 
+TEST_F(NetProtocolTest, PoisonedStreamDecodesNoFurtherFrames) {
+  FlusherGate gate;
+  ServeOptions serve_options;
+  serve_options.fault_injector.stall_batch = [&](std::int64_t) {
+    gate.Block();
+  };
+  StartServer({}, serve_options);
+  RawSock sock(port());
+  ASSERT_TRUE(sock.connected());
+  // Request 1 is wedged mid-batch, so the connection has work in flight
+  // and cannot close as soon as the stream is poisoned.
+  ASSERT_TRUE(sock.SendAll(GoodEmbedFrame(1, 4)));
+  gate.AwaitBlocked();
+  ASSERT_TRUE(sock.SendAll(
+      ForgeFrame(0x12345678, kProtocolVersion, 1, 0, 2, 0, "")));
+  ExpectErrorFrame(&sock, WireError::kBadMagic);
+  const auto frames_ok = [] {
+    return MetricsRegistry::Get().Snapshot().counter("net.frames.ok");
+  };
+  const std::uint64_t frames_before = frames_ok();
+  ASSERT_TRUE(sock.SendAll(GoodEmbedFrame(3, 5)));
+  // A Stats round trip on another connection: the loop answers it only
+  // after a poll pass that has already read frame 3.
+  std::string error;
+  auto canary = NetClient::Connect("127.0.0.1", port(), {}, &error);
+  ASSERT_NE(canary, nullptr) << error;
+  StatsResponse stats;
+  EXPECT_TRUE(canary->Stats(&stats)) << canary->last_error();
+  gate.Release();
+
+  FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(sock.RecvFrame(&header, &payload));
+  EXPECT_EQ(header.type, FrameType::kEmbeddingResponse);
+  EXPECT_EQ(header.request_id, 1u);
+  EXPECT_EQ(sock.RecvUntilClose(), "");  // no answer to 3 ...
+  EXPECT_TRUE(sock.AwaitClose());        // ... and a close, not a timeout
+  EXPECT_EQ(frames_ok(), frames_before + 1);  // the canary's Stats only
+}
+
 TEST_F(NetProtocolTest, CrcMismatchGetsTypedErrorThenClose) {
   StartServer();
   RawSock sock(port());
@@ -488,8 +531,8 @@ TEST_F(NetProtocolTest, PipelinedRequestsEachGetTheirAnswer) {
   StartServer();
   RawSock sock(port());
   ASSERT_TRUE(sock.connected());
-  // Two requests in one write. Workers may finish them in either
-  // order; request ids pair answers with questions.
+  // Two requests in one write. They may be answered in either order;
+  // request ids pair answers with questions.
   ASSERT_TRUE(sock.SendAll(GoodEmbedFrame(21, 4) + GoodEmbedFrame(22, 8)));
   bool saw21 = false;
   bool saw22 = false;

@@ -26,6 +26,7 @@
 #include "nn/gcn.h"
 #include "obs/metrics.h"
 #include "serve/embedding_server.h"
+#include "serve_test_util.h"
 
 namespace e2gcl {
 namespace net {
@@ -448,8 +449,109 @@ TEST(NetServe, DestructorDrainsWithoutHanging) {
   auto client = Dial(s);
   ASSERT_NE(client, nullptr);
   ASSERT_EQ(client->GetEmbedding(0).status, ServeStatus::kOk);
-  s.net.reset();  // joins the loop and workers; must not deadlock
+  s.net.reset();  // joins the loop; must not deadlock
   s.server.reset();
+}
+
+// --- A wedged flusher. ------------------------------------------------------
+
+/// Serving options whose flusher blocks in `gate` at every batch, one
+/// request per batch.
+ServeOptions GatedOptions(FlusherGate* gate) {
+  ServeOptions options;
+  options.max_batch = 1;
+  options.fault_injector.stall_batch = [gate](std::int64_t) {
+    gate->Block();
+  };
+  return options;
+}
+
+TEST(NetServe, WedgedFlusherNeverStallsTheLoop) {
+  FlusherGate gate;
+  Stack s = MakeStack(GatedOptions(&gate));
+  ASSERT_NE(s.net, nullptr);
+  auto wedged = Dial(s);
+  ASSERT_NE(wedged, nullptr);
+  std::thread blocked(
+      [&] { EXPECT_EQ(wedged->GetEmbedding(1).status, ServeStatus::kOk); });
+  gate.AwaitBlocked();
+  // The flusher is stuck mid-batch; what the loop answers itself must
+  // still come back on another connection.
+  auto other = Dial(s);
+  if (other != nullptr) {
+    StatsResponse stats;
+    EXPECT_TRUE(other->Stats(&stats)) << other->last_error();
+    EXPECT_EQ(stats.status, ServeStatus::kOk);
+    EXPECT_EQ(other->GetEmbedding(-1).status, ServeStatus::kInvalidArgument);
+  }
+  gate.Release();
+  blocked.join();
+}
+
+TEST(NetServe, DeadlineBehindAWedgedFlusherKeepsItsGeneration) {
+  FlusherGate gate;
+  Stack s = MakeStack(GatedOptions(&gate));
+  ASSERT_NE(s.net, nullptr);
+  auto client = Dial(s);
+  ASSERT_NE(client, nullptr);
+  const std::uint64_t expired_before = CounterValue("serve.rejected.deadline");
+  std::thread blocker([&] {
+    EXPECT_EQ(s.server->GetEmbedding(0, {}).status, ServeStatus::kOk);
+  });
+  gate.AwaitBlocked();
+
+  ServeRequestOptions deadline;
+  deadline.deadline_us = 1;
+  // In process: released at the deadline, tagged with the generation it
+  // was admitted under.
+  const EmbeddingResponse direct = s.server->GetEmbedding(1, deadline);
+  EXPECT_EQ(direct.status, ServeStatus::kDeadlineExceeded);
+  EXPECT_EQ(direct.generation, 1u);
+  // Over TCP: queued behind the wedge too, answered once it lifts.
+  std::thread remote([&] {
+    const EmbeddingResponse r = client->GetEmbedding(2, deadline);
+    EXPECT_EQ(r.status, ServeStatus::kDeadlineExceeded)
+        << ServeStatusName(r.status) << " " << client->last_error();
+    EXPECT_EQ(r.generation, 1u);
+  });
+  AwaitQueueDepth(*s.server, 2);
+  gate.Release();
+  remote.join();
+  blocker.join();
+  EXPECT_EQ(CounterValue("serve.rejected.deadline") - expired_before, 2u);
+}
+
+TEST(NetServe, DestructorWaitsForRequestsStillInTheServingQueue) {
+  FlusherGate gate;
+  Stack s = MakeStack(GatedOptions(&gate));
+  ASSERT_NE(s.net, nullptr);
+  const int port = s.net->port();
+  std::thread blocker([&] {
+    EXPECT_EQ(s.server->GetEmbedding(0, {}).status, ServeStatus::kOk);
+  });
+  gate.AwaitBlocked();
+  {
+    // The client sends, gives up on the answer and leaves while its
+    // request is still queued behind the wedge.
+    NetClientOptions impatient;
+    impatient.timeout_ms = 1;
+    std::string error;
+    auto client = NetClient::Connect("127.0.0.1", port, impatient, &error);
+    ASSERT_NE(client, nullptr) << error;
+    EXPECT_EQ(client->GetEmbedding(1).status, ServeStatus::kTransportError);
+    AwaitQueueDepth(*s.server, 1);
+  }
+  std::unique_ptr<NetServer> net = std::move(s.net);
+  std::thread destroyer([&] { net.reset(); });
+  // The destructor has started once the listener refuses connections.
+  for (;;) {
+    std::string error;
+    if (NetClient::Connect("127.0.0.1", port, {}, &error) == nullptr) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.Release();
+  destroyer.join();
+  blocker.join();
 }
 
 }  // namespace

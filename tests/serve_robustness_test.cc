@@ -12,10 +12,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -74,41 +73,6 @@ std::vector<float> RowOf(const Matrix& m, std::int64_t r) {
   return std::vector<float>(m.RowPtr(r), m.RowPtr(r) + m.cols());
 }
 
-/// Two-phase gate wired into ServeFaultInjector::stall_batch: Block()
-/// freezes the flusher inside the hook until Release(); the test waits
-/// on AwaitBlocked() so "the flusher is wedged mid-batch" is a proven
-/// state, not a race. After Release() later batches pass through.
-class FlusherGate {
- public:
-  void Block() {
-    std::unique_lock<std::mutex> lock(mu_);
-    blocked_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return released_; });
-  }
-  void AwaitBlocked() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return blocked_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool blocked_ = false;
-  bool released_ = false;
-};
-
-/// Spins until the server's queue holds exactly `depth` requests (the
-/// flusher must be gated for this to be stable).
-void AwaitQueueDepth(const EmbeddingServer& server, std::int64_t depth) {
-  while (server.queue_depth() < depth) std::this_thread::yield();
-}
-
 std::unique_ptr<EmbeddingServer> MakeServer(const Graph& g,
                                             const TrainerCheckpoint& ckpt,
                                             const ServeOptions& opt) {
@@ -155,6 +119,21 @@ TEST(ServeDeadline, ZeroDeadlineBlocksUntilServed) {
   EmbeddingResponse response = server->GetEmbedding(5, ServeRequestOptions{});
   EXPECT_EQ(response.status, ServeStatus::kOk);
   EXPECT_EQ(response.generation, 1u);
+  EXPECT_EQ(response.row, RowOf(ref, 5));
+}
+
+TEST(ServeDeadline, DeadlineBeyondTheClockRangeNeverExpires) {
+  Graph g = ServeGraph();
+  TrainerCheckpoint ckpt = MakeCheckpoint(g);
+  auto server = MakeServer(g, ckpt, ServeOptions{});
+  const Matrix ref = ReferenceEmbeddings(g, ckpt);
+
+  // The wire accepts any non-negative deadline_us; microseconds this
+  // large overflow a nanosecond clock unless the server saturates them.
+  ServeRequestOptions unreachable;
+  unreachable.deadline_us = std::numeric_limits<std::int64_t>::max();
+  EmbeddingResponse response = server->GetEmbedding(5, unreachable);
+  EXPECT_EQ(response.status, ServeStatus::kOk);
   EXPECT_EQ(response.row, RowOf(ref, 5));
 }
 

@@ -194,7 +194,6 @@ TEST(EmbeddingServer, ColdCachedSoloAndBatchedRowsAreBitIdentical) {
     ServeOptions opt;
     opt.precompute = precompute;
     opt.max_batch = 1;  // solo
-    opt.batch_deadline_us = 0;
     std::string error;
     auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
     ASSERT_NE(server, nullptr) << error;
@@ -210,7 +209,6 @@ TEST(EmbeddingServer, ColdCachedSoloAndBatchedRowsAreBitIdentical) {
   // Batched: one client per node, large batch budget.
   ServeOptions opt;
   opt.max_batch = 64;
-  opt.batch_deadline_us = 2000;
   std::string error;
   auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
   ASSERT_NE(server, nullptr) << error;
@@ -238,7 +236,6 @@ TEST(EmbeddingServer, BitIdenticalAtAllThreadCounts) {
       ServeOptions opt;
       opt.precompute = precompute;
       opt.max_batch = 8;
-      opt.batch_deadline_us = 100;
       std::string error;
       auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
       ASSERT_NE(server, nullptr) << error;
@@ -464,9 +461,8 @@ TEST(EmbeddingServer, DeadlineFlushesPartialBatch) {
   Graph g = ServeGraph();
   TrainerCheckpoint ckpt = MakeCheckpoint(g);
   ServeOptions opt;
-  opt.max_batch = 1000;          // can never fill from one client
-  opt.batch_deadline_us = 2000;  // so the deadline must flush it
-  opt.batch_gap_us = 2000;       // linger the full deadline
+  opt.max_batch = 1000;  // can never fill from one client: a partial
+                         // batch must ship
   std::string error;
   auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
   ASSERT_NE(server, nullptr) << error;
@@ -479,14 +475,12 @@ TEST(EmbeddingServer, FullBatchFlushesBeforeDeadline) {
   TrainerCheckpoint ckpt = MakeCheckpoint(g);
   ServeOptions opt;
   opt.max_batch = 4;
-  opt.batch_deadline_us = 30'000'000;  // a deadline-only flush would stall
-  opt.batch_gap_us = 30'000'000;       // and so would the linger gap
   std::string error;
   auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
   ASSERT_NE(server, nullptr) << error;
   const Matrix reference = ReferenceEmbeddings(g, ckpt);
-  // 8 clients = two full batches; completing at all proves size-triggered
-  // flushing (the test would otherwise take 30 s per batch).
+  // 8 clients at max_batch 4: full batches ship and every client is
+  // served, whatever batches the requests land in.
   std::vector<std::thread> clients;
   std::vector<std::vector<float>> rows(8);
   for (int i = 0; i < 8; ++i) {
@@ -529,7 +523,6 @@ TEST(EmbeddingServer, ConcurrentMixedClientsSeeConsistentResults) {
   ServeOptions opt;
   opt.cache_capacity = 64;  // force eviction churn under load
   opt.max_batch = 16;
-  opt.batch_deadline_us = 500;
   std::string error;
   auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
   ASSERT_NE(server, nullptr) << error;

@@ -65,7 +65,7 @@ cleanup() {
 trap cleanup EXIT
 
 "$BUILD/tools/e2gcl_serve" --train --dataset cora --epochs 1 \
-  --precompute --listen 0 --net-workers 4 >"$WORK/server.log" &
+  --precompute --listen 0 >"$WORK/server.log" &
 SERVER_PID=$!
 
 # The server prints "listening on port N" once the socket is bound.

@@ -53,10 +53,6 @@ void Usage(const char* prog) {
       "4096)\n"
       "  --cache-shards <int>     cache shard count (default 8)\n"
       "  --max-batch <int>        micro-batch size bound (default 32)\n"
-      "  --deadline-us <int>      micro-batch flush deadline (default "
-      "200)\n"
-      "  --batch-gap-us <int>     linger this long for batch-mates; 0 = "
-      "greedy flush (default 0)\n"
       "  --quantize-int8          serve TopKSimilar from a 4x-smaller "
       "int8 table\n"
       "  --rescore-factor <int>   exact-rescore pool = k * this "
@@ -81,8 +77,6 @@ void Usage(const char* prog) {
       "1024; needs --listen)\n"
       "  --rate-limit-qps <float> per-connection sustained request rate; "
       "0 = unlimited (default 0; needs --listen)\n"
-      "  --net-workers <int>      network worker threads (default 4; "
-      "needs --listen)\n"
       "queries (repeatable, answered in order):\n"
       "  --embed <node>           print the node's embedding row\n"
       "  --score <u,v>            print the dot-product link score\n"
@@ -159,18 +153,6 @@ int main(int argc, char** argv) {
       options.cache_shards = static_cast<int>(v);
     } else if (arg == "--max-batch" && ParseInt(next(), 1, 100000, &v)) {
       options.max_batch = v;
-    } else if (arg == "--deadline-us" &&
-               ParseInt(next(), 0, (1ll << 40), &v)) {
-      options.batch_deadline_us = v;
-    } else if (arg == "--batch-gap-us") {
-      if (!ParseInt(next(), -(1ll << 40), (1ll << 40), &v) || v < 0) {
-        std::fprintf(stderr,
-                     "--batch-gap-us must be a non-negative integer "
-                     "(0 = greedy flush)\n");
-        Usage(argv[0]);
-        return 2;
-      }
-      options.batch_gap_us = v;
     } else if (arg == "--quantize-int8") {
       options.quantize_int8 = true;
     } else if (arg == "--rescore-factor") {
@@ -243,14 +225,6 @@ int main(int argc, char** argv) {
       }
       net_options.rate_limit_qps = qps;
       net_flags_used = true;
-    } else if (arg == "--net-workers") {
-      if (!ParseInt(next(), 1, 1024, &v)) {
-        std::fprintf(stderr, "--net-workers must be in [1, 1024]\n");
-        Usage(argv[0]);
-        return 2;
-      }
-      net_options.num_workers = static_cast<int>(v);
-      net_flags_used = true;
     } else {
       std::fprintf(stderr, "bad or incomplete flag: %s\n", arg.c_str());
       Usage(argv[0]);
@@ -265,8 +239,7 @@ int main(int argc, char** argv) {
   }
   if (listen_port < 0 && net_flags_used) {
     std::fprintf(stderr,
-                 "--bind/--max-conns/--rate-limit-qps/--net-workers "
-                 "require --listen\n");
+                 "--bind/--max-conns/--rate-limit-qps require --listen\n");
     Usage(argv[0]);
     return 2;
   }
