@@ -307,7 +307,7 @@ int main() {
                                 pre, /*warm=*/false));
 
     // Top-k similarity: exact fp32 scan vs the int8 path (approximate
-    // ScoreAll then exact rescore of an 8*4 candidate pool).
+    // int8 scan then exact rescore of an 8*4 candidate pool).
     ServeOptions topk = pre;
     records.push_back(
         RunTopKConfig(g, ckpt, "serve/topk_fp32/b16", threads, topk));

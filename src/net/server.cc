@@ -509,24 +509,16 @@ void NetServer::DispatchRequest(Conn* conn, const Request& request) {
     QueueOutput(conn, EncodeRejection(request, ServeStatus::kOverloaded));
     return;
   }
-  // Argument validation happens here, against the live model: the
-  // typed EmbeddingServer API CHECK-aborts on out-of-range ids, which
-  // a remote byte stream must never be able to trigger.
-  const std::int64_t num_nodes = server_->num_nodes();
+  // Only the wire's own bounds are checked here; node ids are checked
+  // by the EmbeddingServer, which rejects them kInvalidArgument.
   bool valid = true;
   switch (request.type) {
     case FrameType::kGetEmbedding:
-      valid = request.embed.node >= 0 && request.embed.node < num_nodes;
-      break;
     case FrameType::kScoreLink:
-      valid = request.score.u >= 0 && request.score.u < num_nodes &&
-              request.score.v >= 0 && request.score.v < num_nodes;
+    case FrameType::kStats:
       break;
     case FrameType::kTopKSimilar:
-      valid = request.topk.node >= 0 && request.topk.node < num_nodes &&
-              request.topk.k >= 0 && request.topk.k <= kMaxTopK;
-      break;
-    case FrameType::kStats:
+      valid = request.topk.k >= 0 && request.topk.k <= kMaxTopK;
       break;
     default:
       valid = false;
@@ -566,7 +558,10 @@ void NetServer::DispatchRequest(Conn* conn, const Request& request) {
       break;
   }
   if (admitted != ServeStatus::kOk) {
-    // Shed at the serving queue's door: no completion will post.
+    // Refused at the serving queue's door: no completion will post.
+    if (admitted == ServeStatus::kInvalidArgument) {
+      counters.rejected_invalid.Increment();
+    }
     {
       MutexLock lock(mu_);
       --pending_;

@@ -1,7 +1,9 @@
 #include "serve/embedding_server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -31,6 +33,16 @@ void RecordBatchMetrics(std::int64_t size) {
       Histogram::Get("serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128});
   batches.Increment();
   batch_size.Record(size);
+}
+
+/// One table pass serves every TopK request of a batch.
+void RecordTopKScan(std::int64_t queries) {
+  if (!ObsEnabled()) return;
+  static const Counter scans = Counter::Get("serve.topk.scans");
+  static const Histogram queries_per_scan = Histogram::Get(
+      "serve.topk.queries_per_scan", {1, 2, 4, 8, 16, 32, 64});
+  scans.Increment();
+  queries_per_scan.Record(queries);
 }
 
 void RecordCacheMetrics(std::int64_t hits, std::int64_t misses) {
@@ -68,10 +80,12 @@ void RecordRejected(ServeStatus status) {
       Counter::Get("serve.rejected.overloaded");
   static const Counter deadline = Counter::Get("serve.rejected.deadline");
   static const Counter shutdown = Counter::Get("serve.rejected.shutdown");
+  static const Counter invalid = Counter::Get("serve.rejected.invalid");
   switch (status) {
     case ServeStatus::kOverloaded: overloaded.Increment(); break;
     case ServeStatus::kDeadlineExceeded: deadline.Increment(); break;
     case ServeStatus::kShutdown: shutdown.Increment(); break;
+    case ServeStatus::kInvalidArgument: invalid.Increment(); break;
     default: break;
   }
 }
@@ -100,29 +114,77 @@ void UpdateGenerationGauge(std::uint64_t gen) {
   gauge.Set(static_cast<std::int64_t>(gen));
 }
 
-/// The best `k` of `candidates` by (score desc, node id asc), where
-/// `scores[node]` is a node's score. The order is total, so ties never
-/// depend on scheduling or on the order of `candidates`.
-TopKResult RankTopK(std::vector<std::int64_t> candidates,
-                    const std::vector<float>& scores, std::int64_t k) {
-  const auto score = [&](std::int64_t node) {
-    return scores[static_cast<std::size_t>(node)];
-  };
-  k = std::min<std::int64_t>(k, static_cast<std::int64_t>(candidates.size()));
-  std::partial_sort(candidates.begin(), candidates.begin() + k,
-                    candidates.end(), [&](std::int64_t x, std::int64_t y) {
-                      const float sx = score(x);
-                      const float sy = score(y);
-                      return sx != sy ? sx > sy : x < y;
-                    });
-  TopKResult top;
-  top.nodes.assign(candidates.begin(), candidates.begin() + k);
-  top.scores.reserve(top.nodes.size());
-  for (const std::int64_t node : top.nodes) top.scores.push_back(score(node));
-  return top;
-}
+/// Rows of the table scored per step of a TopK scan. The score buffer
+/// is (TopK requests in the batch) x kSlabRows, whatever |V| is.
+constexpr std::int64_t kSlabRows = 4096;
 
 }  // namespace
+
+TopKSelector::TopKSelector(std::int64_t k, std::int64_t exclude)
+    : k_(k), exclude_(exclude) {
+  E2GCL_CHECK(k >= 0);
+  heap_.reserve(static_cast<std::size_t>(k));
+}
+
+bool TopKSelector::Before(const Entry& a, const Entry& b) {
+  return a.key != b.key ? a.key > b.key : a.node < b.node;
+}
+
+void TopKSelector::Offer(float score, std::int64_t node) {
+  if (node == exclude_ || k_ == 0) return;
+  const Entry entry{
+      std::isnan(score) ? -std::numeric_limits<float>::infinity() : score,
+      score, node};
+  if (static_cast<std::int64_t>(heap_.size()) < k_) {
+    heap_.push_back(entry);
+    std::push_heap(heap_.begin(), heap_.end(),
+                   [](const Entry& a, const Entry& b) { return Before(a, b); });
+    return;
+  }
+  if (!Before(entry, heap_.front())) return;
+  // Replace the worst kept candidate: the newcomer sinks from the front
+  // past every child that ranks after it.
+  const std::size_t n = heap_.size();
+  std::size_t i = 0;
+  for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+    if (c + 1 < n && Before(heap_[c], heap_[c + 1])) ++c;  // the worse child
+    if (!Before(entry, heap_[c])) break;
+    heap_[i] = heap_[c];
+    i = c;
+  }
+  heap_[i] = entry;
+}
+
+void TopKSelector::OfferRun(const float* scores, std::int64_t first,
+                            std::int64_t count) {
+  std::int64_t i = 0;
+  for (; i < count && static_cast<std::int64_t>(heap_.size()) < k_; ++i) {
+    Offer(scores[i], first + i);
+  }
+  if (i == count || k_ == 0) return;
+  // Full: a candidate scoring below the worst kept one loses on one
+  // compare. Ties and NaNs (whose compare is false) take Offer's path.
+  float worst = heap_.front().key;
+  for (; i < count; ++i) {
+    if (scores[i] < worst) continue;
+    Offer(scores[i], first + i);
+    worst = heap_.front().key;
+  }
+}
+
+TopKResult TopKSelector::Take() {
+  std::sort_heap(heap_.begin(), heap_.end(),
+                 [](const Entry& a, const Entry& b) { return Before(a, b); });
+  TopKResult top;
+  top.nodes.reserve(heap_.size());
+  top.scores.reserve(heap_.size());
+  for (const Entry& entry : heap_) {
+    top.nodes.push_back(entry.node);
+    top.scores.push_back(entry.score);
+  }
+  heap_.clear();
+  return top;
+}
 
 struct EmbeddingServer::Request {
   using Clock = std::chrono::steady_clock;
@@ -383,13 +445,13 @@ template <typename Response>
 ServeStatus EmbeddingServer::Submit(std::unique_ptr<Request> req,
                                     std::function<void(Response)> done,
                                     std::uint64_t* generation) {
-  // NetServer validates remote arguments before they get here.
+  // Arguments may come off the wire: out of range is a typed rejection.
   const std::int64_t n = graph_->num_nodes;
-  E2GCL_CHECK_MSG(req->a >= 0 && req->a < n && req->b >= 0 &&
-                      (req->kind != Request::Kind::kScore || req->b < n),
-                  "query arguments (%lld, %lld) out of range",
-                  static_cast<long long>(req->a),
-                  static_cast<long long>(req->b));
+  if (req->a < 0 || req->a >= n || req->b < 0 ||
+      (req->kind == Request::Kind::kScore && req->b >= n)) {
+    RecordRejected(ServeStatus::kInvalidArgument);
+    return ServeStatus::kInvalidArgument;
+  }
   req->done = [done = std::move(done)](Request& r) {
     Response response;
     response.status = r.status;
@@ -523,6 +585,7 @@ void EmbeddingServer::ProcessBatch(
     const auto it = std::lower_bound(needed.begin(), needed.end(), node);
     return rows[static_cast<std::size_t>(it - needed.begin())];
   };
+  std::vector<Request*> topk;
   for (const auto& r : batch) {
     switch (r->kind) {
       case Request::Kind::kEmbedding:
@@ -536,71 +599,121 @@ void EmbeddingServer::ProcessBatch(
         break;
       }
       case Request::Kind::kTopK:
-        ServeTopK(state, r.get(), row_of(r->a));
+        topk.push_back(r.get());
         break;
     }
   }
+  if (topk.empty()) return;
+  Matrix queries(static_cast<std::int64_t>(topk.size()),
+                 static_cast<std::int64_t>(rows.front().size()));
+  for (std::size_t q = 0; q < topk.size(); ++q) {
+    const std::vector<float>& row = row_of(topk[q]->a);
+    std::copy(row.begin(), row.end(),
+              queries.RowPtr(static_cast<std::int64_t>(q)));
+  }
+  ServeTopK(state, topk, queries);
 }
 
-void EmbeddingServer::ServeTopK(ModelState& state, Request* req,
-                                const std::vector<float>& query) {
+void EmbeddingServer::ServeTopK(ModelState& state,
+                                const std::vector<Request*>& batch,
+                                const Matrix& queries) {
   TraceSpan span("serve_topk");
-  // Scan: one score per node, written to its own slot (deterministic at
-  // any thread count). The int8 table scores by exact integer dot plus
-  // one float rescale per row, identical in every SIMD backend.
-  const bool quantized = !state.quantized.empty();
-  std::vector<float> scores;
+  // One pass over the table scores every query of the batch. The int8
+  // table scores by exact integer dot plus one float rescale per row,
+  // identical in every SIMD backend; the fp32 scan is GemmTransBRows,
+  // whose every score is Dot(query, row) bit for bit. So a query's
+  // scores, and its answer, do not depend on its batch-mates.
+  const QuantizedEmbeddingTable& table = state.quantized;
+  const bool quantized = !table.empty();
+  const Matrix* z = quantized ? nullptr : &FullEmbeddings(state);
+  const std::int64_t n = quantized ? table.rows() : z->rows();
+  const std::int64_t d = queries.cols();
+  const std::int64_t b = queries.rows();
+  RecordTopKScan(b);
+  std::vector<std::int8_t> codes;
+  std::vector<float> query_scales;
   if (quantized) {
-    std::vector<std::int8_t> qcodes;
-    const float qscale = state.quantized.QuantizeQuery(query.data(), &qcodes);
-    state.quantized.ScoreAll(qcodes.data(), qscale, &scores);
-  } else {
-    const Matrix& z = FullEmbeddings(state);
-    scores.resize(static_cast<std::size_t>(z.rows()));
-    ParallelFor(0, z.rows(), GrainForCost(z.cols()),
-                [&](std::int64_t rb, std::int64_t re) {
-                  for (std::int64_t i = rb; i < re; ++i) {
-                    scores[static_cast<std::size_t>(i)] =
-                        simd::Dot(query.data(), z.RowPtr(i), z.cols());
-                  }
-                });
+    codes.resize(static_cast<std::size_t>(b * d));
+    std::vector<std::int8_t> one;
+    for (std::int64_t q = 0; q < b; ++q) {
+      query_scales.push_back(table.QuantizeQuery(queries.RowPtr(q), &one));
+      std::copy(one.begin(), one.end(), codes.begin() + q * d);
+    }
   }
-  const std::int64_t n = static_cast<std::int64_t>(scores.size());
-  std::vector<std::int64_t> others;
-  others.reserve(scores.size());
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (i != req->a) others.push_back(i);
-  }
-  // Clamped here, not only in RankTopK, so the pool size below cannot
-  // overflow for a huge requested k.
-  const std::int64_t k = std::min<std::int64_t>(req->b, n - 1);
   // The fp32 scan is exact. The int8 scan answers directly when the
   // rescore is off (rescore_factor == 0) or skipped under load (a
   // degraded request); otherwise it only picks k * rescore_factor
   // candidates.
-  if (!quantized || req->degrade || options_.rescore_factor == 0) {
-    req->topk = RankTopK(std::move(others), scores, k);
-    if (req->degrade) {
-      req->status = ServeStatus::kDegraded;
-      RecordDegraded();
+  const auto rescored = [&](const Request* r) {
+    return quantized && !r->degrade && options_.rescore_factor > 0;
+  };
+  const auto answer_size = [&](const Request* r) {
+    return std::min<std::int64_t>(r->b, n - 1);
+  };
+  std::vector<TopKSelector> best;
+  best.reserve(static_cast<std::size_t>(b));
+  for (const Request* r : batch) {
+    const std::int64_t k = answer_size(r);
+    const std::int64_t f = options_.rescore_factor;
+    // min(k * f, n - 1), without overflow for a huge factor.
+    const std::int64_t keep =
+        !rescored(r) ? k : (k > (n - 1) / f ? n - 1 : k * f);
+    best.emplace_back(keep, r->a);
+  }
+  // Fixed slabs of rows bound the score buffer, and each query's
+  // selector carries across them. A slab's row chunks are scored in
+  // parallel, every score into its own slot: chunk c's b x rows block
+  // starts at b * (its first row - s0).
+  const std::int64_t grain = GrainForCost(d);
+  std::vector<float> slab(
+      static_cast<std::size_t>(b * std::min(kSlabRows, n)));
+  for (std::int64_t s0 = 0; s0 < n; s0 += kSlabRows) {
+    const std::int64_t s1 = std::min(n, s0 + kSlabRows);
+    ParallelFor(s0, s1, grain, [&](std::int64_t rb, std::int64_t re) {
+      float* out = slab.data() + b * (rb - s0);
+      if (quantized) {
+        table.ScoreRows(codes.data(), query_scales.data(), b, rb, re, out);
+      } else {
+        simd::GemmTransBRows(queries.data(), z->RowPtr(rb), out, 0, b, d,
+                             re - rb);
+      }
+    });
+    // ParallelFor's chunks start at s0, every `grain` rows.
+    for (std::int64_t c0 = s0; c0 < s1; c0 += grain) {
+      const std::int64_t rows = std::min(s1, c0 + grain) - c0;
+      const float* chunk = slab.data() + b * (c0 - s0);
+      for (std::int64_t q = 0; q < b; ++q) {
+        best[static_cast<std::size_t>(q)].OfferRun(chunk + q * rows, c0,
+                                                   rows);
+      }
     }
-    return;
   }
-  // Exact fp32 rescore of the candidate pool: fetch the candidates' fp32
-  // rows through the normal cache/precompute path (one frontier-batched
-  // EncodeRows for the misses) and rank by exact dot score. As long as
-  // the true top-k survives into the pool, the result matches the fp32
-  // scan exactly — rows, scores, and tie-breaks.
-  std::vector<std::int64_t> pool =
-      RankTopK(std::move(others), scores, k * options_.rescore_factor).nodes;
-  std::sort(pool.begin(), pool.end());
-  const std::vector<std::vector<float>> rows = FetchRows(state, pool);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    scores[static_cast<std::size_t>(pool[i])] =
-        simd::Dot(query.data(), rows[i].data(),
-                  static_cast<std::int64_t>(rows[i].size()));
+  for (std::int64_t q = 0; q < b; ++q) {
+    Request* r = batch[static_cast<std::size_t>(q)];
+    TopKResult top = best[static_cast<std::size_t>(q)].Take();
+    if (!rescored(r)) {
+      r->topk = std::move(top);
+      if (r->degrade) {
+        r->status = ServeStatus::kDegraded;
+        RecordDegraded();
+      }
+      continue;
+    }
+    // Exact fp32 rescore of the candidate pool: fetch the candidates'
+    // fp32 rows through the normal cache/precompute path (one
+    // frontier-batched EncodeRows for the misses) and rank by exact dot
+    // score. As long as the true top-k survives into the pool, the
+    // result matches the fp32 scan exactly — rows, scores, and
+    // tie-breaks.
+    std::vector<std::int64_t> pool = std::move(top.nodes);
+    std::sort(pool.begin(), pool.end());
+    const std::vector<std::vector<float>> rows = FetchRows(state, pool);
+    TopKSelector exact(answer_size(r), r->a);
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      exact.Offer(simd::Dot(queries.RowPtr(q), rows[i].data(), d), pool[i]);
+    }
+    r->topk = exact.Take();
   }
-  req->topk = RankTopK(std::move(pool), scores, k);
 }
 
 std::vector<std::vector<float>> EmbeddingServer::FetchRows(

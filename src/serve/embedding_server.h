@@ -77,6 +77,43 @@ struct ServeOptions {
   ServeFaultInjector fault_injector;
 };
 
+/// The best `k` TopK candidates under the serving order: score
+/// descending, node id ascending on ties. A NaN score ranks as -infinity
+/// and +0.0 ties -0.0, so the order is total and the answer does not
+/// depend on the order candidates are offered in. It streams: a bounded
+/// heap whose front is the worst kept candidate, so a scan keeps O(k)
+/// state per query however many rows it offers. Every TopK answer is cut
+/// by one: the fp32 scan, the int8 scan, the int8 candidate pool and its
+/// exact rescore.
+class TopKSelector {
+ public:
+  /// Keeps the best `k` (>= 0) candidates other than `exclude` (the
+  /// query's own node).
+  TopKSelector(std::int64_t k, std::int64_t exclude);
+
+  void Offer(float score, std::int64_t node);
+  /// Offers nodes first, first + 1, ..., first + count - 1 with
+  /// scores[0], ..., scores[count - 1].
+  void OfferRun(const float* scores, std::int64_t first, std::int64_t count);
+
+  /// The kept candidates, best first. Leaves the selector empty.
+  TopKResult Take();
+
+ private:
+  struct Entry {
+    float key;  // the score, or -infinity for a NaN score
+    float score;
+    std::int64_t node;
+  };
+  /// True iff `a` ranks before `b`.
+  static bool Before(const Entry& a, const Entry& b);
+
+  std::int64_t k_;
+  std::int64_t exclude_;
+  /// A heap under Before: front() is the worst kept candidate.
+  std::vector<Entry> heap_;
+};
+
 /// Serves frozen-encoder embedding queries over one graph + checkpoint.
 ///
 /// Three APIs — GetEmbedding, ScoreLink (dot score of the two rows, the
@@ -84,8 +121,9 @@ struct ServeOptions {
 /// funnel through a micro-batching queue drained by a single flusher
 /// thread; the flusher computes missing rows in one frontier-batched
 /// GcnEncoder::EncodeRows call per batch (riding the global thread
-/// pool) and completes each request through its callback. Any number of
-/// threads may query concurrently.
+/// pool), scores every TopK request of the batch in one pass over the
+/// table, and completes each request through its callback. Any number
+/// of threads may query concurrently.
 ///
 /// Robustness layer (DESIGN.md "Serving robustness model"):
 ///  * Every call carries ServeRequestOptions with a deadline, which the
@@ -142,8 +180,9 @@ class EmbeddingServer {
   // Each query comes in two forms. The asynchronous one returns kOk when
   // the request was admitted: `done` then runs exactly once, on the
   // flusher thread with no lock held, with the response. Any other
-  // status is the admission rejection (kShutdown, kOverloaded), and
-  // `done` never runs. `done` must not wait on this server; it may
+  // status is the admission rejection (kInvalidArgument for a node id
+  // outside [0, num_nodes()) or a negative k, kShutdown, kOverloaded),
+  // and `done` never runs. `done` must not wait on this server; it may
   // submit further requests. The blocking form is the asynchronous one
   // plus a wait: it returns the response, or kDeadlineExceeded at the
   // request's deadline (never, when deadline_us == 0).
@@ -216,8 +255,8 @@ class EmbeddingServer {
  private:
   struct Request;
 
-  /// Argument check (CHECK-fails out of range), admission control and
-  /// enqueue of `req`, whose completion hands a `Response` to `done`.
+  /// Argument check, admission control and enqueue of `req`, whose
+  /// completion hands a `Response` to `done`.
   /// kOk = admitted: the flusher then runs `done` exactly once, and
   /// `*generation` (when non-null) holds the generation the request is
   /// pinned to. Any other status is the rejection. Acquires mu_
@@ -247,11 +286,12 @@ class EmbeddingServer {
   /// The generation's full |V| x d embedding matrix (precomputed, or
   /// materialized on first fp32 TopK in lazy mode).
   const Matrix& FullEmbeddings(ModelState& state);
-  /// Serves one TopK request: the fp32 scan, or the int8 scan with an
-  /// exact rescore of its candidate pool (skipped when rescore_factor is
-  /// 0 or the request is degraded).
-  void ServeTopK(ModelState& state, Request* req,
-                 const std::vector<float>& query);
+  /// Serves a batch's TopK requests, whose query rows are `queries`
+  /// (row q for batch[q]), in one pass over the table: the fp32 scan,
+  /// or the int8 scan with an exact rescore of each candidate pool
+  /// (skipped when rescore_factor is 0 or the request is degraded).
+  void ServeTopK(ModelState& state, const std::vector<Request*>& batch,
+                 const Matrix& queries);
 
   const Graph* graph_;
   CsrMatrix adj_;

@@ -31,18 +31,35 @@ float QuantizedEmbeddingTable::QuantizeQuery(
   return simd::QuantizeRowI8(codes->data(), row, cols_);
 }
 
+void QuantizedEmbeddingTable::ScoreRows(const std::int8_t* queries,
+                                        const float* query_scales,
+                                        std::int64_t num_queries,
+                                        std::int64_t row_begin,
+                                        std::int64_t row_end,
+                                        float* out) const {
+  // Locals, not members: DotI8 is an opaque call, after which members
+  // would be reloaded on every row.
+  const std::int64_t cols = cols_;
+  const std::int64_t span = row_end - row_begin;
+  const std::int8_t* row = RowPtr(row_begin);
+  const float* row_scale = scales_.data() + row_begin;
+  for (std::int64_t i = 0; i < span; ++i, row += cols) {
+    for (std::int64_t q = 0; q < num_queries; ++q) {
+      const std::int32_t acc = simd::DotI8(queries + q * cols, row, cols);
+      out[q * span + i] =
+          static_cast<float>(acc) * (query_scales[q] * row_scale[i]);
+    }
+  }
+}
+
 void QuantizedEmbeddingTable::ScoreAll(const std::int8_t* query,
                                        float query_scale,
                                        std::vector<float>* scores) const {
   scores->resize(static_cast<std::size_t>(rows_));
   ParallelFor(0, rows_, GrainForCost(cols_),
               [&](std::int64_t rb, std::int64_t re) {
-                for (std::int64_t r = rb; r < re; ++r) {
-                  const std::int32_t acc = simd::DotI8(query, RowPtr(r), cols_);
-                  (*scores)[static_cast<std::size_t>(r)] =
-                      static_cast<float>(acc) *
-                      (query_scale * scales_[static_cast<std::size_t>(r)]);
-                }
+                ScoreRows(query, &query_scale, 1, rb, re,
+                          scores->data() + rb);
               });
 }
 

@@ -44,8 +44,20 @@ class QuantizedEmbeddingTable {
   /// `codes` (resized) and returns its scale.
   float QuantizeQuery(const float* row, std::vector<std::int8_t>* codes) const;
 
-  /// scores[i] = approximate dot score of the quantized query against
-  /// row i, for every row (row-parallel, one owned slot per row).
+  /// Approximate scores of `num_queries` quantized queries (codes
+  /// num_queries x cols(), row-major, and one scale each) against rows
+  /// [row_begin, row_end), written to
+  /// out[q * (row_end - row_begin) + (r - row_begin)]. Each row is read
+  /// once for all the queries. A score is
+  ///     DotI8(query, row) * (query_scale * row_scale)
+  /// whatever the batch or the row range, so a batched scan answers as
+  /// each query alone would. Serial: callers split the rows.
+  void ScoreRows(const std::int8_t* queries, const float* query_scales,
+                 std::int64_t num_queries, std::int64_t row_begin,
+                 std::int64_t row_end, float* out) const;
+
+  /// scores[i] = approximate dot score of one quantized query against
+  /// row i, for every row (ScoreRows over row-parallel chunks).
   void ScoreAll(const std::int8_t* query, float query_scale,
                 std::vector<float>* scores) const;
 

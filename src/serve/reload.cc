@@ -1,5 +1,6 @@
 #include "serve/reload.h"
 
+#include <string>
 #include <utility>
 
 #include "serve/embedding_server.h"
@@ -43,28 +44,40 @@ std::shared_ptr<ModelState> BuildModelState(const Graph& graph,
     return fail("checkpoint encoder parameter shapes do not match the "
                 "encoder configuration");
   }
+  // A CRC-valid checkpoint can still hold a diverged weight, whose rows
+  // and scores would be served as NaN.
+  for (std::size_t i = 0; i < ckpt.encoder_params.size(); ++i) {
+    if (!AllFinite(ckpt.encoder_params[i])) {
+      return fail("checkpoint encoder parameter " + std::to_string(i) +
+                  " holds a non-finite value");
+    }
+  }
   encoder->params().LoadValues(ckpt.encoder_params);
 
   auto state = std::make_shared<ModelState>();
   state->generation = generation;
   state->encoder = std::move(encoder);
-  if (options.precompute) {
-    state->full = state->encoder->Encode(graph);
-  } else {
+  if (!options.precompute) {
     state->cache = std::make_unique<ShardedRowCache>(options.cache_capacity,
                                                      options.cache_shards);
   }
-  if (options.quantize_int8) {
-    // Build the int8 table from a transient full encode; in lazy mode
-    // the fp32 matrix is dropped right after, leaving the 4x-smaller
-    // table as the only |V|-resident state (TopK never materializes
-    // `full`).
-    if (options.precompute) {
-      state->quantized = QuantizedEmbeddingTable::Build(state->full);
-    } else {
-      state->quantized =
-          QuantizedEmbeddingTable::Build(state->encoder->Encode(graph));
+  if (options.precompute || options.quantize_int8) {
+    // A table encoded at load must be finite: a NaN or infinite row
+    // poisons every TopK ranking it takes part in, and an int8 row scale.
+    Matrix full = state->encoder->Encode(graph);
+    if (!AllFinite(full)) {
+      std::int64_t row = 0;
+      while (AllFinite(full.Row(row))) ++row;
+      return fail("encoded embedding row " + std::to_string(row) +
+                  " holds a non-finite value");
     }
+    if (options.quantize_int8) {
+      state->quantized = QuantizedEmbeddingTable::Build(full);
+    }
+    // In lazy mode the fp32 matrix is dropped here, leaving the
+    // 4x-smaller int8 table as the only |V|-resident state (TopK never
+    // materializes `full` then).
+    if (options.precompute) state->full = std::move(full);
   }
   return state;
 }

@@ -470,7 +470,7 @@ TEST_F(NetProtocolTest, OutOfRangeNodeGetsInvalidArgumentResponse) {
   std::string error;
   auto client = NetClient::Connect("127.0.0.1", port(), {}, &error);
   ASSERT_NE(client, nullptr) << error;
-  // Hostile ids must never reach the CHECK-validated typed API.
+  // Hostile ids and k get a typed rejection, never a crash.
   EXPECT_EQ(client->GetEmbedding(std::int64_t{1} << 30).status,
             ServeStatus::kInvalidArgument);
   EXPECT_EQ(client->GetEmbedding(-1).status, ServeStatus::kInvalidArgument);

@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -24,6 +27,7 @@
 #include "graph/generators.h"
 #include "io/checkpoint.h"
 #include "nn/gcn.h"
+#include "obs/metrics.h"
 #include "serve/embedding_server.h"
 #include "serve/quantized_table.h"
 #include "serve/serve_status.h"
@@ -198,6 +202,52 @@ TEST(ServeAdmission, RejectsAtMaxQueueDepthWatermark) {
   gate.Release();
   blocker.join();
   for (std::thread& t : queued) t.join();
+}
+
+TEST(ServeAdmission, OutOfRangeArgumentsAreRejectedInvalidArgument) {
+  Graph g = ServeGraph();
+  TrainerCheckpoint ckpt = MakeCheckpoint(g);
+  SetObsEnabled(true);
+  MetricsRegistry::Get().ResetValuesForTest();
+  auto server = MakeServer(g, ckpt, ServeOptions{});
+  const std::int64_t n = g.num_nodes;
+  const ServeRequestOptions request;
+
+  // Blocking forms: a typed rejection at the door, no generation pinned.
+  const EmbeddingResponse row = server->GetEmbedding(-1, request);
+  EXPECT_EQ(row.status, ServeStatus::kInvalidArgument);
+  EXPECT_EQ(row.generation, 0u);
+  EXPECT_TRUE(row.row.empty());
+  const ScoreResponse score = server->ScoreLink(0, n, request);
+  EXPECT_EQ(score.status, ServeStatus::kInvalidArgument);
+  EXPECT_EQ(score.generation, 0u);
+  const TopKResponse topk = server->TopKSimilar(n, 1, request);
+  EXPECT_EQ(topk.status, ServeStatus::kInvalidArgument);
+  EXPECT_EQ(topk.generation, 0u);
+  EXPECT_TRUE(topk.result.nodes.empty());
+  EXPECT_EQ(server->TopKSimilar(0, -1, request).status,
+            ServeStatus::kInvalidArgument);
+
+  // Asynchronous forms: the status is the rejection; `done` never runs.
+  std::atomic<int> completions{0};
+  EXPECT_EQ(server->GetEmbedding(-1, request,
+                                 [&](EmbeddingResponse) { ++completions; }),
+            ServeStatus::kInvalidArgument);
+  EXPECT_EQ(server->ScoreLink(0, n, request,
+                              [&](ScoreResponse) { ++completions; }),
+            ServeStatus::kInvalidArgument);
+  EXPECT_EQ(server->TopKSimilar(n, 1, request,
+                                [&](TopKResponse) { ++completions; }),
+            ServeStatus::kInvalidArgument);
+
+  // The server is unharmed, and the rejections were counted.
+  EXPECT_EQ(ServedRow(*server, n - 1), RowOf(ReferenceEmbeddings(g, ckpt),
+                                              n - 1));
+  server.reset();
+  EXPECT_EQ(completions.load(), 0);
+  const MetricsSnapshot snap = MetricsRegistry::Get().Snapshot();
+  EXPECT_EQ(snap.counter("serve.rejected.invalid"), 7u);
+  EXPECT_EQ(snap.counter("serve.requests"), 1u);
 }
 
 TEST(ServeAdmission, DegradesTopKUnderPressureToExactApproximateScan) {
@@ -624,6 +674,68 @@ TEST(ServeReload, RejectsInvalidCheckpointWithoutTouchingServing) {
   TrainerCheckpoint good = MakeCheckpoint(g, /*seed=*/11);
   EXPECT_EQ(server->ReloadCheckpoint(good), ServeStatus::kOk);
   EXPECT_EQ(server->generation(), 2u);
+}
+
+TEST(ServeReload, RefusesNonFiniteCheckpointsAtLoadAndReload) {
+  Graph g = ServeGraph();
+  const TrainerCheckpoint good = MakeCheckpoint(g);
+  // A CRC-valid file can carry a diverged weight.
+  TrainerCheckpoint nan_weight = MakeCheckpoint(g, /*seed=*/11);
+  nan_weight.encoder_params.back()(0, 0) =
+      std::numeric_limits<float>::quiet_NaN();
+  // Finite weights whose encoded rows overflow to infinity: seen where a
+  // table is encoded at load (precompute, or the int8 copy).
+  TrainerCheckpoint overflow = MakeCheckpoint(g, /*seed=*/11);
+  for (Matrix& param : overflow.encoder_params) {
+    for (std::int64_t i = 0; i < param.size(); ++i) param.data()[i] *= 1e30f;
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("e2gcl_nonfinite_" + std::to_string(::getpid()) + ".e2gcl"))
+          .string();
+  ASSERT_TRUE(SaveTrainerCheckpoint(path, nan_weight));
+  SetObsEnabled(true);
+  MetricsRegistry::Get().ResetValuesForTest();
+
+  for (const auto& [precompute, int8] :
+       {std::pair{false, false}, std::pair{false, true},
+        std::pair{true, false}}) {
+    SCOPED_TRACE(std::string(precompute ? "precompute" : "lazy") +
+                 (int8 ? " int8" : ""));
+    ServeOptions opt;
+    opt.precompute = precompute;
+    opt.quantize_int8 = int8;
+    std::string error;
+    EXPECT_EQ(EmbeddingServer::FromCheckpoint(g, nan_weight, opt, &error),
+              nullptr);
+    EXPECT_NE(error.find("encoder parameter"), std::string::npos) << error;
+    error.clear();
+    EXPECT_EQ(EmbeddingServer::Load(g, path, opt, &error), nullptr);
+    EXPECT_NE(error.find("non-finite"), std::string::npos) << error;
+
+    auto server = MakeServer(g, good, opt);
+    ASSERT_NE(server, nullptr);
+    const Matrix ref = ReferenceEmbeddings(g, good);
+    error.clear();
+    EXPECT_EQ(server->ReloadCheckpoint(nan_weight, &error),
+              ServeStatus::kInvalidArgument);
+    EXPECT_NE(error.find("encoder parameter"), std::string::npos) << error;
+    EXPECT_EQ(server->ReloadFromFile(path), ServeStatus::kInvalidArgument);
+    if (precompute || int8) {
+      error.clear();
+      EXPECT_EQ(EmbeddingServer::FromCheckpoint(g, overflow, opt, &error),
+                nullptr);
+      EXPECT_NE(error.find("embedding row"), std::string::npos) << error;
+      EXPECT_EQ(server->ReloadCheckpoint(overflow),
+                ServeStatus::kInvalidArgument);
+    }
+    // The old generation keeps serving.
+    EXPECT_EQ(server->generation(), 1u);
+    EXPECT_EQ(ServedRow(*server, 12), RowOf(ref, 12));
+  }
+  std::filesystem::remove(path);
+  EXPECT_EQ(
+      MetricsRegistry::Get().Snapshot().counter("serve.reload.failed"), 8u);
 }
 
 TEST(ServeReload, ConcurrentMixedClientsAlwaysMatchTaggedGeneration) {

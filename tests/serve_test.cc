@@ -7,9 +7,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -442,6 +446,288 @@ TEST(EmbeddingServer, QuantizedTopKWithoutRescoreRanksByApproxScores) {
   }
 }
 
+// --- The TopK selector and the one-pass batch scan. -------------------------
+
+std::vector<std::uint32_t> Bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits(v.size());
+  if (!v.empty()) std::memcpy(bits.data(), v.data(), v.size() * sizeof(float));
+  return bits;
+}
+
+TopKResult Select(std::int64_t k, std::int64_t exclude,
+                  const std::vector<std::vector<float>>& slabs) {
+  TopKSelector best(k, exclude);
+  std::int64_t first = 0;
+  for (const std::vector<float>& slab : slabs) {
+    best.OfferRun(slab.data(), first, static_cast<std::int64_t>(slab.size()));
+    first += static_cast<std::int64_t>(slab.size());
+  }
+  return best.Take();
+}
+
+TEST(TopKSelector, TiesAcrossASlabBoundaryResolveByAscendingId) {
+  // Score 5 at ids 1, 2 (first slab) and 4, 5 (second slab).
+  const std::vector<std::vector<float>> slabs = {{1, 5, 5, 2}, {5, 5, 3, 0}};
+  TopKResult top = Select(3, -1, slabs);
+  EXPECT_EQ(top.nodes, (std::vector<std::int64_t>{1, 2, 4}));
+  EXPECT_EQ(top.scores, (std::vector<float>{5, 5, 5}));
+  top = Select(5, -1, slabs);
+  EXPECT_EQ(top.nodes, (std::vector<std::int64_t>{1, 2, 4, 5, 6}));
+  // The order candidates arrive in does not matter.
+  TopKSelector reversed(3, -1);
+  for (std::int64_t node = 7; node >= 0; --node) {
+    reversed.Offer(slabs[node / 4][node % 4], node);
+  }
+  EXPECT_EQ(reversed.Take().nodes, (std::vector<std::int64_t>{1, 2, 4}));
+}
+
+TEST(TopKSelector, PositiveAndNegativeZeroTie) {
+  TopKResult top = Select(1, -1, {{-0.0f}, {0.0f}});
+  ASSERT_EQ(top.nodes, (std::vector<std::int64_t>{0}));
+  EXPECT_TRUE(std::signbit(top.scores[0]));
+  top = Select(1, -1, {{0.0f}, {-0.0f}});
+  ASSERT_EQ(top.nodes, (std::vector<std::int64_t>{0}));
+  EXPECT_FALSE(std::signbit(top.scores[0]));
+  top = Select(2, -1, {{0.0f, -0.0f, 1.0f}});
+  EXPECT_EQ(top.nodes, (std::vector<std::int64_t>{2, 0}));
+}
+
+TEST(TopKSelector, ExcludesTheQueryNode) {
+  const TopKResult top = Select(2, 1, {{0.5f, 9.0f}, {0.25f, 1.0f}});
+  EXPECT_EQ(top.nodes, (std::vector<std::int64_t>{3, 0}));
+  EXPECT_EQ(top.scores, (std::vector<float>{1.0f, 0.5f}));
+}
+
+TEST(TopKSelector, ZeroKAndKBeyondTheCandidates) {
+  const std::vector<std::vector<float>> slabs = {{3, 1}, {2}};
+  EXPECT_TRUE(Select(0, -1, slabs).nodes.empty());
+  EXPECT_TRUE(Select(0, -1, slabs).scores.empty());
+  // k >= candidates ranks every candidate but the excluded one.
+  for (const std::int64_t k : {2L, 3L, 100L}) {
+    const TopKResult top = Select(k, 0, slabs);
+    EXPECT_EQ(top.nodes, (std::vector<std::int64_t>{2, 1})) << "k " << k;
+    EXPECT_EQ(top.scores, (std::vector<float>{2, 1})) << "k " << k;
+  }
+}
+
+TEST(TopKSelector, NanRanksAsNegativeInfinity) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  TopKResult top = Select(3, -1, {{nan, -1.0f}, {nan, 2.0f}});
+  EXPECT_EQ(top.nodes, (std::vector<std::int64_t>{3, 1, 0}));
+  EXPECT_TRUE(std::isnan(top.scores[2]));
+  // Tied with -infinity, so the lower id ranks first.
+  top = Select(3, -1, {{-inf, nan}, {-1.0f}});
+  EXPECT_EQ(top.nodes, (std::vector<std::int64_t>{2, 0, 1}));
+}
+
+/// |V| = 5003 spans two 4096-row scan slabs, and at width 33 a slab
+/// splits into 992-row chunks and a short one: neither divides |V|.
+Graph ScanGraph() {
+  SbmSpec spec;
+  spec.num_nodes = 5003;
+  spec.num_classes = 3;
+  spec.feature_dim = 16;
+  spec.avg_degree = 6;
+  spec.informative_dims_per_class = 4;
+  return GenerateSbm(spec, 5);
+}
+
+GcnConfig ScanEncoderConfig(const Graph& g) {
+  GcnConfig cfg;
+  cfg.dims = {g.feature_dim(), 24, 33};
+  return cfg;
+}
+
+TrainerCheckpoint ScanCheckpoint(const Graph& g) {
+  Rng rng(9);
+  GcnEncoder encoder(ScanEncoderConfig(g), rng);
+  TrainerCheckpoint ckpt;
+  ckpt.encoder_params = encoder.params().CloneValues();
+  return ckpt;
+}
+
+/// The best `k` of `scores` but `exclude` by a full sort under (score
+/// desc, id asc).
+TopKResult SortedTopK(const std::vector<float>& scores, std::int64_t exclude,
+                      std::int64_t k) {
+  std::vector<std::int64_t> ids;
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(scores.size()); ++i) {
+    if (i != exclude) ids.push_back(i);
+  }
+  std::sort(ids.begin(), ids.end(), [&](std::int64_t x, std::int64_t y) {
+    const float sx = scores[static_cast<std::size_t>(x)];
+    const float sy = scores[static_cast<std::size_t>(y)];
+    return sx != sy ? sx > sy : x < y;
+  });
+  ids.resize(static_cast<std::size_t>(
+      std::min<std::int64_t>(k, static_cast<std::int64_t>(ids.size()))));
+  TopKResult top;
+  for (const std::int64_t id : ids) {
+    top.nodes.push_back(id);
+    top.scores.push_back(scores[static_cast<std::size_t>(id)]);
+  }
+  return top;
+}
+
+struct Query {
+  enum Kind { kRow, kScore, kTopK } kind;
+  std::int64_t a;
+  std::int64_t b;  // kScore: v. kTopK: k.
+};
+
+/// A response reduced to what byte identity is about: the status, TopK
+/// node ids, and the bits of the row, the score or the TopK scores.
+struct Answer {
+  ServeStatus status = ServeStatus::kOk;
+  std::vector<std::int64_t> nodes;
+  std::vector<std::uint32_t> bits;
+};
+
+/// Submits `q` through the asynchronous API.
+std::future<Answer> Send(EmbeddingServer& server, const Query& q) {
+  auto promise = std::make_shared<std::promise<Answer>>();
+  std::future<Answer> answer = promise->get_future();
+  ServeStatus admitted = ServeStatus::kOk;
+  switch (q.kind) {
+    case Query::kRow:
+      admitted = server.GetEmbedding(
+          q.a, ServeRequestOptions{}, [promise](EmbeddingResponse r) {
+            promise->set_value({r.status, {}, Bits(r.row)});
+          });
+      break;
+    case Query::kScore:
+      admitted = server.ScoreLink(
+          q.a, q.b, ServeRequestOptions{}, [promise](ScoreResponse r) {
+            promise->set_value({r.status, {}, Bits({r.score})});
+          });
+      break;
+    case Query::kTopK:
+      admitted = server.TopKSimilar(
+          q.a, q.b, ServeRequestOptions{}, [promise](TopKResponse r) {
+            promise->set_value(
+                {r.status, std::move(r.result.nodes), Bits(r.result.scores)});
+          });
+      break;
+  }
+  EXPECT_EQ(admitted, ServeStatus::kOk);
+  return answer;
+}
+
+TEST(EmbeddingServer, BatchedAnswersEqualSoloAnswers) {
+  const Graph g = ScanGraph();
+  const TrainerCheckpoint ckpt = ScanCheckpoint(g);
+  const std::int64_t n = g.num_nodes;
+  Rng rng(0);
+  GcnEncoder encoder(ScanEncoderConfig(g), rng);
+  encoder.params().LoadValues(ckpt.encoder_params);
+  const Matrix reference = encoder.Encode(g);
+  // Repeated and distinct nodes, both slabs, k from 0 past |V|. The
+  // first request is a TopK: under degrade_watermark 1 it is admitted at
+  // queue depth 0 and rescored, while the later TopKs are degraded.
+  const std::vector<Query> queries = {
+      {Query::kTopK, 17, 10},       {Query::kRow, 17, 0},
+      {Query::kTopK, 17, 10},       {Query::kTopK, 17, 0},
+      {Query::kTopK, 4096, 1},      {Query::kScore, 17, 4096},
+      {Query::kTopK, n - 1, n - 1}, {Query::kTopK, 0, n + 5},
+      {Query::kRow, 4095, 0},       {Query::kTopK, 4095, 10},
+      {Query::kScore, 3, n - 1},    {Query::kTopK, 2500, 10},
+  };
+  struct Path {
+    const char* name;
+    bool int8;
+    std::int64_t rescore_factor;
+    std::int64_t degrade_watermark;
+  };
+  const Path paths[] = {{"fp32", false, 4, 0},
+                        {"int8", true, 4, 0},
+                        {"int8_approx", true, 0, 0},
+                        {"degraded", true, 4, 1}};
+  for (int threads : kThreadCounts) {
+    SetNumThreads(threads);
+    for (bool precompute : {false, true}) {
+      for (const Path& path : paths) {
+        SCOPED_TRACE(std::string(path.name) + " precompute=" +
+                     std::to_string(precompute) +
+                     " threads=" + std::to_string(threads));
+        FlusherGate gate;
+        std::vector<std::int64_t> batch_sizes;  // flusher-written
+        ServeOptions opt;
+        opt.precompute = precompute;
+        opt.quantize_int8 = path.int8;
+        opt.rescore_factor = path.rescore_factor;
+        opt.degrade_watermark = path.degrade_watermark;
+        opt.fault_injector.stall_batch = [&](std::int64_t size) {
+          batch_sizes.push_back(size);
+          if (batch_sizes.size() == 1) gate.Block();
+        };
+        std::string error;
+        auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
+        ASSERT_NE(server, nullptr) << error;
+        // A degraded answer is the int8 approximate scan's answer.
+        ServeOptions approx_opt = opt;
+        approx_opt.rescore_factor = 0;
+        approx_opt.degrade_watermark = 0;
+        approx_opt.fault_injector = {};
+        auto approx = EmbeddingServer::FromCheckpoint(g, ckpt, approx_opt,
+                                                      &error);
+        ASSERT_NE(approx, nullptr) << error;
+
+        // The blocker holds the flusher while the batch queues behind it.
+        std::future<Answer> blocker = Send(*server, {Query::kRow, 0, 0});
+        gate.AwaitBlocked();
+        std::vector<std::future<Answer>> batched;
+        for (const Query& q : queries) batched.push_back(Send(*server, q));
+        gate.Release();
+        EXPECT_EQ(blocker.get().status, ServeStatus::kOk);
+        std::vector<Answer> got;
+        for (std::future<Answer>& f : batched) got.push_back(f.get());
+        ASSERT_EQ(batch_sizes.size(), 2u);
+        EXPECT_EQ(batch_sizes[1], static_cast<std::int64_t>(queries.size()));
+
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const Query& q = queries[i];
+          const bool degraded = path.degrade_watermark > 0 &&
+                                q.kind == Query::kTopK && i > 0;
+          const Answer solo = Send(degraded ? *approx : *server, q).get();
+          EXPECT_EQ(solo.status, ServeStatus::kOk) << "query " << i;
+          EXPECT_EQ(got[i].status,
+                    degraded ? ServeStatus::kDegraded : ServeStatus::kOk)
+              << "query " << i;
+          EXPECT_EQ(got[i].nodes, solo.nodes) << "query " << i;
+          EXPECT_EQ(got[i].bits, solo.bits) << "query " << i;
+          if (q.kind != Query::kTopK) continue;
+          EXPECT_EQ(static_cast<std::int64_t>(got[i].nodes.size()),
+                    std::min(q.b, n - 1))
+              << "query " << i;
+          // Unbatched, unslabbed references where the answer has one:
+          // the fp32 scan and the approximate int8 scan.
+          std::vector<float> scores;
+          if (!path.int8) {
+            for (std::int64_t v = 0; v < n; ++v) {
+              scores.push_back(simd::Dot(reference.RowPtr(q.a),
+                                         reference.RowPtr(v),
+                                         reference.cols()));
+            }
+          } else if (path.rescore_factor == 0 || degraded) {
+            const QuantizedEmbeddingTable& table = server->quantized();
+            std::vector<std::int8_t> codes;
+            const float scale =
+                table.QuantizeQuery(reference.RowPtr(q.a), &codes);
+            table.ScoreAll(codes.data(), scale, &scores);
+          } else {
+            continue;
+          }
+          const TopKResult want = SortedTopK(scores, q.a, q.b);
+          EXPECT_EQ(solo.nodes, want.nodes) << "query " << i;
+          EXPECT_EQ(solo.bits, Bits(want.scores)) << "query " << i;
+        }
+      }
+    }
+  }
+  SetNumThreads(1);
+}
+
 TEST(EmbeddingServer, QuantizedModeKeepsEmbeddingAndScoreExact) {
   Graph g = ServeGraph();
   TrainerCheckpoint ckpt = MakeCheckpoint(g);
@@ -586,6 +872,48 @@ TEST(EmbeddingServer, RecordsCacheAndBatchMetrics) {
   EXPECT_EQ(snap.counter("serve.cache.misses"), 1u);
   EXPECT_EQ(snap.counter("serve.cache.hits"), 1u);
   EXPECT_EQ(snap.counter("serve.rows_computed"), 1u);
+}
+
+TEST(EmbeddingServer, RecordsOneTopKScanPerBatch) {
+  Graph g = ServeGraph();
+  TrainerCheckpoint ckpt = MakeCheckpoint(g);
+  SetObsEnabled(true);
+  MetricsRegistry::Get().ResetValuesForTest();
+  {
+    FlusherGate gate;
+    bool first = true;  // flusher-only
+    ServeOptions opt;
+    opt.fault_injector.stall_batch = [&](std::int64_t) {
+      if (first) gate.Block();
+      first = false;
+    };
+    std::string error;
+    auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
+    ASSERT_NE(server, nullptr) << error;
+    std::future<Answer> blocker = Send(*server, {Query::kRow, 0, 0});
+    gate.AwaitBlocked();
+    std::vector<std::future<Answer>> batch;
+    batch.push_back(Send(*server, {Query::kTopK, 3, 5}));
+    batch.push_back(Send(*server, {Query::kRow, 4, 0}));
+    batch.push_back(Send(*server, {Query::kTopK, 3, 1}));
+    batch.push_back(Send(*server, {Query::kTopK, 90, 5}));
+    gate.Release();
+    blocker.get();
+    for (std::future<Answer>& f : batch) {
+      EXPECT_EQ(f.get().status, ServeStatus::kOk);
+    }
+  }
+  const MetricsSnapshot snap = MetricsRegistry::Get().Snapshot();
+  EXPECT_EQ(snap.counter("serve.batches"), 2u);
+  EXPECT_EQ(snap.counter("serve.requests"), 5u);
+  EXPECT_EQ(snap.counter("serve.topk.scans"), 1u);
+  const auto hist = std::find_if(
+      snap.histograms.begin(), snap.histograms.end(),
+      [](const auto& h) { return h.name == "serve.topk.queries_per_scan"; });
+  ASSERT_NE(hist, snap.histograms.end());
+  EXPECT_EQ(hist->bounds, (std::vector<std::int64_t>{1, 2, 4, 8, 16, 32, 64}));
+  EXPECT_EQ(hist->total, 1u);
+  EXPECT_EQ(hist->counts[2], 1u);  // 3 queries: the (2, 4] bucket
 }
 
 // --- Checkpoint loading & validation. --------------------------------------
