@@ -18,22 +18,6 @@ namespace {
 // single chunk reproduces the exact serial accumulation order.
 constexpr std::int64_t kUpdateRowFloor = 512;
 
-/// Nearest-center scan for one point. Ties break toward the lower center
-/// index, matching the serial loop.
-void NearestCenter(const Matrix& points, const Matrix& centers,
-                   std::int64_t v, std::int64_t k, float* best,
-                   std::int64_t* best_c) {
-  *best = std::numeric_limits<float>::max();
-  *best_c = 0;
-  for (std::int64_t c = 0; c < k; ++c) {
-    const float dist = RowSquaredDistance(points, v, centers, c);
-    if (dist < *best) {
-      *best = dist;
-      *best_c = c;
-    }
-  }
-}
-
 /// kmeans++ seeding: first center uniform, subsequent centers sampled
 /// proportionally to squared distance from the nearest chosen center.
 /// The per-point distance updates run in parallel (exact, element-wise);
@@ -87,11 +71,13 @@ KMeansResult KMeans(const Matrix& points, const KMeansOptions& opts,
   static const Counter calls_counter = Counter::Get("kmeans.calls");
   static const Counter iters_counter = Counter::Get("kmeans.iterations");
   static const Counter reseeds_counter = Counter::Get("kmeans.reseeds");
+  static const Counter distances_counter = Counter::Get("kmeans.distances");
   calls_counter.Increment();
 
   KMeansResult res;
   if (opts.kmeanspp) {
     res.centers = SeedPlusPlus(points, k, rng);
+    distances_counter.Add(static_cast<std::uint64_t>((k - 1) * n));
   } else {
     auto seeds = rng.SampleWithoutReplacement(n, k);
     res.centers = GatherRows(points, seeds);
@@ -104,19 +90,103 @@ KMeansResult KMeans(const Matrix& points, const KMeansOptions& opts,
   std::vector<float> point_d2(n, 0.0f);
   const std::int64_t assign_grain = GrainForCost(k * d);
 
+  // Elkan's bounds (ICML 2003): per point, a lower bound on its distance
+  // to every center; per center, an upper bound on its drift since the
+  // last pass and a lower bound on its distance to every other center.
+  // A center is scanned only when neither bound proves its kernel
+  // distance strictly larger than the best one known for the point, so
+  // the lowest-index argmin, and every distance kept, is the full
+  // scan's. A full pass (the first, after a reseed, or with a
+  // non-finite drift) scans every center and rebuilds the bounds.
+  const KernelDistanceBounds bounds(d);
+  std::vector<float> lower(static_cast<std::size_t>(n * k), 0.0f);
+  std::vector<float> drift(k, 0.0f);
+  std::vector<float> center_lower(static_cast<std::size_t>(k * k), 0.0f);
+  Matrix bounded_centers;  // Centers the bounds were last taken against.
+  bool full = true;
+
+  // One assignment pass: assignment and point_d2 under res.centers.
+  const std::int64_t assign_chunks = NumChunks(n, assign_grain);
+  std::vector<std::int64_t> chunk_evals(assign_chunks, 0);
+  auto assign = [&] {
+    std::int64_t evals = 0;
+    if (!full) {
+      for (std::int64_t c = 0; c < k; ++c) {
+        drift[c] = bounds.Upper(
+            RowSquaredDistance(bounded_centers, c, res.centers, c));
+        if (!std::isfinite(drift[c])) full = true;
+      }
+      evals += k;
+    }
+    if (!full) {
+      for (std::int64_t b = 0; b < k; ++b) {
+        for (std::int64_t c = b + 1; c < k; ++c) {
+          const float lb = bounds.Lower(
+              RowSquaredDistance(res.centers, b, res.centers, c));
+          center_lower[b * k + c] = lb;
+          center_lower[c * k + b] = lb;
+        }
+      }
+      evals += k * (k - 1) / 2;
+    }
+    ParallelForChunks(
+        0, n, assign_grain,
+        [&](std::int64_t chunk, std::int64_t vb, std::int64_t ve) {
+          std::int64_t count = 0;
+          for (std::int64_t v = vb; v < ve; ++v) {
+            float* lb = lower.data() + v * k;
+            const std::int64_t a = res.assignment[v];
+            const float da = RowSquaredDistance(points, v, res.centers, a);
+            ++count;
+            // `known` is the smallest distance computed so far (at center
+            // `known_c`); `reach` bounds the true distance behind it.
+            float known = da;
+            std::int64_t known_c = a;
+            float reach = bounds.Upper(da);
+            // The full scan's loop over the scanned subset: ties break
+            // toward the lower center index.
+            float best = std::numeric_limits<float>::max();
+            std::int64_t best_c = 0;
+            for (std::int64_t c = 0; c < k; ++c) {
+              float dist = da;
+              if (c != a) {
+                if (!full) {
+                  lb[c] = KernelDistanceBounds::Drop(lb[c], drift[c]);
+                  if (lb[c] > reach ||
+                      center_lower[known_c * k + c] > 2.0f * reach) {
+                    continue;
+                  }
+                }
+                dist = RowSquaredDistance(points, v, res.centers, c);
+                ++count;
+                lb[c] = bounds.Lower(dist);
+                if (dist < known) {
+                  known = dist;
+                  known_c = c;
+                  reach = bounds.Upper(dist);
+                }
+              }
+              if (dist < best) {
+                best = dist;
+                best_c = c;
+              }
+            }
+            lb[a] = bounds.Lower(da);
+            res.assignment[v] = best_c;
+            point_d2[v] = best;
+          }
+          chunk_evals[chunk] = count;
+        });
+    for (std::int64_t count : chunk_evals) evals += count;
+    distances_counter.Add(static_cast<std::uint64_t>(evals));
+    bounded_centers = res.centers;
+    full = !bounds.usable();
+  };
+
   double prev_inertia = std::numeric_limits<double>::max();
   for (int iter = 0; iter < opts.max_iters; ++iter) {
     iters_counter.Increment();
-    // Assignment step: the O(n k d) scan is row-parallel and exact.
-    ParallelFor(0, n, assign_grain, [&](std::int64_t vb, std::int64_t ve) {
-      for (std::int64_t v = vb; v < ve; ++v) {
-        float best;
-        std::int64_t best_c;
-        NearestCenter(points, res.centers, v, k, &best, &best_c);
-        res.assignment[v] = best_c;
-        point_d2[v] = best;
-      }
-    });
+    assign();
     double inertia = 0.0;
     for (std::int64_t v = 0; v < n; ++v) inertia += point_d2[v];
     res.inertia = inertia;
@@ -161,6 +231,8 @@ KMeansResult KMeans(const Matrix& points, const KMeansOptions& opts,
     for (std::int64_t c = 0; c < k; ++c) {
       if (counts[c] == 0) {
         reseeds_counter.Increment();
+        distances_counter.Add(static_cast<std::uint64_t>(n));
+        full = true;
         // Re-seed an empty cluster with the point farthest from its center.
         float worst = -1.0f;
         std::int64_t worst_v = 0;
@@ -190,17 +262,10 @@ KMeansResult KMeans(const Matrix& points, const KMeansOptions& opts,
   }
 
   // Final bookkeeping: clusters, radii, inertia under final centers.
-  // The distance scan is parallel; the membership lists are built by a
-  // serial pass so node order inside each cluster stays ascending.
-  ParallelFor(0, n, assign_grain, [&](std::int64_t vb, std::int64_t ve) {
-    for (std::int64_t v = vb; v < ve; ++v) {
-      float best;
-      std::int64_t best_c;
-      NearestCenter(points, res.centers, v, k, &best, &best_c);
-      res.assignment[v] = best_c;
-      point_d2[v] = best;
-    }
-  });
+  // The distance scan is parallel and reuses the bounds; the membership
+  // lists are built by a serial pass so node order inside each cluster
+  // stays ascending.
+  assign();
   res.clusters.assign(k, {});
   res.max_radius.assign(k, 0.0f);
   double inertia = 0.0;

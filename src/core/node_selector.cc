@@ -65,6 +65,8 @@ SelectionResult SelectCoreset(const Matrix& r, const SelectorConfig& config,
       Counter::Get("selector.candidates_evaluated");
   static const Counter selected_counter =
       Counter::Get("selector.nodes_selected");
+  static const Counter distances_counter =
+      Counter::Get("selector.distances");
   const auto t0 = std::chrono::steady_clock::now();
   const std::int64_t n = r.rows();
   E2GCL_CHECK(config.budget > 0 && config.budget <= n);
@@ -93,6 +95,23 @@ SelectionResult SelectCoreset(const Matrix& r, const SelectorConfig& config,
   std::vector<float> best_dist(n, d_init);
   std::vector<char> selected_mask(n, 0);
 
+  // cluster_max[j] = the largest best_dist over cluster j (-inf when
+  // empty), kept exact: a commit recomputes it for its own cluster and
+  // sets it to t for every cluster it relaxes to a threshold t below it.
+  // A relaxed cluster j contributes max(0, best_dist[v] - t) terms only
+  // when t < cluster_max[j]; t = ||c_j - R[u]|| + d_j^max is never below
+  // d_j^max, so a cluster with cluster_max[j] <= d_j^max needs not even
+  // its center distance. Skipped clusters hold only zero terms, and the
+  // rest sum in their old order, so gains and picks are bit-identical
+  // to visiting every member of every cluster.
+  std::vector<float> cluster_max(nc);
+  auto refresh_cluster_max = [&](std::int64_t j) {
+    float m = -std::numeric_limits<float>::infinity();
+    for (std::int64_t v : km.clusters[j]) m = std::max(m, best_dist[v]);
+    cluster_max[j] = m;
+  };
+  for (std::int64_t j = 0; j < nc; ++j) refresh_cluster_max(j);
+
   // Effective per-round sample size (Theorem 3).
   std::int64_t ns = config.sample_size;
   if (config.auto_sample_size) {
@@ -109,9 +128,8 @@ SelectionResult SelectCoreset(const Matrix& r, const SelectorConfig& config,
   SelectionResult result;
   result.nodes.reserve(k);
 
-  // Scratch: gain of adding candidate u =
+  // Gain of adding candidate u =
   //   sum_v max(0, best_dist[v] - d_new(v, u)).
-  std::vector<float> center_dist(nc);
   while (static_cast<std::int64_t>(result.nodes.size()) < k) {
     // --- Line 4: sample candidates from the unselected pool. -------------
     std::vector<std::int64_t> pool;
@@ -134,46 +152,50 @@ SelectionResult SelectCoreset(const Matrix& r, const SelectorConfig& config,
     candidates_counter.Add(pool.size());
 
     // --- Lines 5-8: pick the candidate with maximal marginal gain. -------
-    // Candidate gains are independent (each reads best_dist, none writes
-    // it), so they are computed in parallel — these are the Thm. 1
-    // pairwise raw-aggregated-distance loops, the selector's hot path.
-    // Each candidate's own summation order is unchanged, and the argmax
-    // runs serially in pool order, so the pick matches the serial code
-    // exactly at any thread count.
+    // Candidate gains are independent (each reads best_dist and
+    // cluster_max, none writes them), so they are computed in parallel —
+    // these are the Thm. 1 pairwise raw-aggregated-distance loops, the
+    // selector's hot path. Each candidate's own summation order is
+    // unchanged, and the argmax runs serially in pool order, so the pick
+    // matches the serial code exactly at any thread count.
     const std::int64_t pool_size = static_cast<std::int64_t>(pool.size());
     std::vector<double> gains(pool_size, 0.0);
+    std::vector<std::int64_t> evals(pool_size, 0);
     ParallelFor(0, pool_size, 1, [&](std::int64_t pb, std::int64_t pe) {
-      std::vector<float> cdist(nc);
       for (std::int64_t pi = pb; pi < pe; ++pi) {
         const std::int64_t u = pool[pi];
         const std::int64_t cu = km.assignment[u];
-        for (std::int64_t j = 0; j < nc; ++j) {
-          cdist[j] = RowDistance(km.centers, j, r, u);
-        }
+        const auto& cu_members = km.clusters[cu];
+        std::int64_t count = static_cast<std::int64_t>(cu_members.size());
         double gain = 0.0;
         // Exact distances within u's cluster.
-        for (std::int64_t v : km.clusters[cu]) {
+        for (std::int64_t v : cu_members) {
           const float d = RowDistance(r, v, r, u);
           if (d < best_dist[v]) gain += best_dist[v] - d;
         }
         // Relaxed distances for all other clusters: threshold per cluster.
         for (std::int64_t j = 0; j < nc; ++j) {
-          if (j == cu) continue;
-          const float t = cdist[j] + km.max_radius[j];
+          if (j == cu || cluster_max[j] <= km.max_radius[j]) continue;
+          const float t = RowDistance(km.centers, j, r, u) + km.max_radius[j];
+          ++count;
+          if (t >= cluster_max[j]) continue;
           for (std::int64_t v : km.clusters[j]) {
             if (best_dist[v] > t) gain += best_dist[v] - t;
           }
         }
         gains[pi] = gain;
+        evals[pi] = count;
       }
     });
     double best_gain = -1.0;
     std::int64_t best_u = pool.front();
+    std::int64_t round_evals = 0;
     for (std::int64_t pi = 0; pi < pool_size; ++pi) {
       if (gains[pi] > best_gain) {
         best_gain = gains[pi];
         best_u = pool[pi];
       }
+      round_evals += evals[pi];
     }
 
     // --- Line 9: commit and update best distances. ------------------------
@@ -181,9 +203,6 @@ SelectionResult SelectCoreset(const Matrix& r, const SelectorConfig& config,
     result.nodes.push_back(best_u);
     selected_counter.Increment();
     const std::int64_t cu = km.assignment[best_u];
-    for (std::int64_t j = 0; j < nc; ++j) {
-      center_dist[j] = RowDistance(km.centers, j, r, best_u);
-    }
     // Exact element-wise min updates: each v is owned by one chunk.
     const auto& cu_members = km.clusters[cu];
     const std::int64_t n_members = static_cast<std::int64_t>(cu_members.size());
@@ -195,13 +214,20 @@ SelectionResult SelectCoreset(const Matrix& r, const SelectorConfig& config,
                         std::min(best_dist[v], RowDistance(r, v, r, best_u));
                   }
                 });
+    round_evals += n_members;
+    refresh_cluster_max(cu);
     for (std::int64_t j = 0; j < nc; ++j) {
-      if (j == cu) continue;
-      const float t = center_dist[j] + km.max_radius[j];
+      if (j == cu || cluster_max[j] <= km.max_radius[j]) continue;
+      const float t =
+          RowDistance(km.centers, j, r, best_u) + km.max_radius[j];
+      ++round_evals;
+      if (t >= cluster_max[j]) continue;
       for (std::int64_t v : km.clusters[j]) {
         best_dist[v] = std::min(best_dist[v], t);
       }
+      cluster_max[j] = t;
     }
+    distances_counter.Add(static_cast<std::uint64_t>(round_evals));
   }
 
   // --- Line 10: representation weights lambda. ----------------------------

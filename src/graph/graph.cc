@@ -30,29 +30,43 @@ Graph BuildGraph(
   E2GCL_CHECK(labels.empty() ||
               static_cast<std::int64_t>(labels.size()) == num_nodes);
 
-  // Symmetrize, drop self-loops, dedupe.
-  std::vector<std::pair<std::int64_t, std::int64_t>> dir;
-  dir.reserve(edges.size() * 2);
+  // Symmetrize and drop self-loops: count both directions per row,
+  // scatter them, then sort and dedupe each row in place, which leaves
+  // every row sorted and unique (the canonical CSR) at O(deg log deg)
+  // per row.
+  Graph g;
+  g.num_nodes = num_nodes;
+  g.row_ptr.assign(num_nodes + 1, 0);
   for (const auto& [u, v] : edges) {
     E2GCL_CHECK_MSG(u >= 0 && u < num_nodes && v >= 0 && v < num_nodes,
                     "edge (%lld, %lld) out of range",
                     static_cast<long long>(u), static_cast<long long>(v));
     if (u == v) continue;
-    dir.emplace_back(u, v);
-    dir.emplace_back(v, u);
-  }
-  std::sort(dir.begin(), dir.end());
-  dir.erase(std::unique(dir.begin(), dir.end()), dir.end());
-
-  Graph g;
-  g.num_nodes = num_nodes;
-  g.row_ptr.assign(num_nodes + 1, 0);
-  g.col.reserve(dir.size());
-  for (const auto& [u, v] : dir) {
-    g.col.push_back(static_cast<std::int32_t>(v));
     g.row_ptr[u + 1] += 1;
+    g.row_ptr[v + 1] += 1;
   }
   for (std::int64_t i = 0; i < num_nodes; ++i) g.row_ptr[i + 1] += g.row_ptr[i];
+  g.col.resize(g.row_ptr[num_nodes]);
+  std::vector<std::int64_t> cursor(g.row_ptr.begin(), g.row_ptr.end() - 1);
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    g.col[cursor[u]++] = static_cast<std::int32_t>(v);
+    g.col[cursor[v]++] = static_cast<std::int32_t>(u);
+  }
+  std::int64_t kept = 0;
+  for (std::int64_t v = 0; v < num_nodes; ++v) {
+    const auto first = g.col.begin() + g.row_ptr[v];
+    std::sort(first, g.col.begin() + g.row_ptr[v + 1]);
+    const auto last = std::unique(first, g.col.begin() + g.row_ptr[v + 1]);
+    if (g.row_ptr[v] != kept) std::copy(first, last, g.col.begin() + kept);
+    g.row_ptr[v] = kept;
+    kept += last - first;
+  }
+  g.row_ptr[num_nodes] = kept;
+  if (kept < static_cast<std::int64_t>(g.col.size())) {
+    g.col.resize(kept);
+    g.col.shrink_to_fit();
+  }
   g.features = std::move(features);
   g.labels = std::move(labels);
   g.num_classes = num_classes;
@@ -64,20 +78,36 @@ CsrMatrix NormalizedAdjacency(const Graph& g) {
   std::vector<double> deg(n, 1.0);
   for (std::int64_t v = 0; v < n; ++v) deg[v] += g.Degree(v);
 
-  std::vector<std::tuple<std::int64_t, std::int64_t, float>> triplets;
-  triplets.reserve(g.col.size() + n);
+  // Rows are written in order, each with its diagonal at the ascending
+  // slot; the constructor checks they come out strictly ascending, which
+  // holds for the canonical rows BuildGraph makes.
+  std::vector<std::int64_t> row_ptr(n + 1, 0);
+  std::vector<std::int32_t> cols;
+  std::vector<float> vals;
+  cols.reserve(g.col.size() + n);
+  vals.reserve(g.col.size() + n);
   for (std::int64_t v = 0; v < n; ++v) {
     const double dv = deg[v];
-    triplets.emplace_back(v, v, static_cast<float>(1.0 / dv));
+    bool self_placed = false;
     for (std::int32_t u : g.Neighbors(v)) {
-      triplets.emplace_back(
-          v, u, static_cast<float>(1.0 / std::sqrt(dv * deg[u])));
+      if (!self_placed && u > v) {
+        cols.push_back(static_cast<std::int32_t>(v));
+        vals.push_back(static_cast<float>(1.0 / dv));
+        self_placed = true;
+      }
+      cols.push_back(u);
+      vals.push_back(static_cast<float>(1.0 / std::sqrt(dv * deg[u])));
     }
+    if (!self_placed) {
+      cols.push_back(static_cast<std::int32_t>(v));
+      vals.push_back(static_cast<float>(1.0 / dv));
+    }
+    row_ptr[v + 1] = static_cast<std::int64_t>(cols.size());
   }
   // Symmetric by construction for an undirected graph (dv * du == du * dv
   // exactly); the check keeps a hand-built asymmetric Graph correct, on
   // the scatter path.
-  CsrMatrix adj = CsrMatrix::FromCoo(n, n, std::move(triplets));
+  CsrMatrix adj(n, n, std::move(row_ptr), std::move(cols), std::move(vals));
   adj.MarkSymmetricIfExact();
   return adj;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -11,6 +12,37 @@
 #include "tensor/simd/simd.h"
 
 namespace e2gcl {
+
+CsrMatrix::CsrMatrix(std::int64_t rows, std::int64_t cols,
+                     std::vector<std::int64_t> row_ptr,
+                     std::vector<std::int32_t> col_idx,
+                     std::vector<float> values)
+    : rows_(rows),
+      cols_(cols),
+      row_ptr_(std::move(row_ptr)),
+      col_idx_(std::move(col_idx)),
+      values_(std::move(values)) {
+  E2GCL_CHECK(rows_ >= 0 && cols_ >= 0);
+  E2GCL_CHECK_MSG(
+      cols_ <= std::numeric_limits<std::int32_t>::max(),
+      "CsrMatrix column count %lld exceeds the int32 column-index range",
+      static_cast<long long>(cols_));
+  E2GCL_CHECK(static_cast<std::int64_t>(row_ptr_.size()) == rows_ + 1 &&
+              row_ptr_.front() == 0 && values_.size() == col_idx_.size() &&
+              row_ptr_.back() == static_cast<std::int64_t>(col_idx_.size()));
+  for (std::int64_t r = 0; r < rows_; ++r) {
+    E2GCL_CHECK_MSG(row_ptr_[r] <= row_ptr_[r + 1],
+                    "CSR row %lld has a negative length",
+                    static_cast<long long>(r));
+    std::int64_t prev = -1;
+    for (std::int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      E2GCL_CHECK_MSG(col_idx_[k] > prev && col_idx_[k] < cols_,
+                      "CSR row %lld is not strictly ascending in range",
+                      static_cast<long long>(r));
+      prev = col_idx_[k];
+    }
+  }
+}
 
 CsrMatrix CsrMatrix::FromCoo(
     std::int64_t rows, std::int64_t cols,

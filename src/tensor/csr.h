@@ -16,6 +16,13 @@ class CsrMatrix {
  public:
   CsrMatrix() : rows_(0), cols_(0) { row_ptr_.push_back(0); }
 
+  /// Takes rows already in canonical form: `row_ptr` holds rows + 1
+  /// offsets from 0 to nnz, and each row's column ids are strictly
+  /// ascending and inside [0, cols). Checks that form in O(nnz).
+  CsrMatrix(std::int64_t rows, std::int64_t cols,
+            std::vector<std::int64_t> row_ptr,
+            std::vector<std::int32_t> col_idx, std::vector<float> values);
+
   /// Builds from COO triplets (row, col, value). Duplicate (row, col)
   /// entries are summed. Triplets may be in any order.
   static CsrMatrix FromCoo(std::int64_t rows, std::int64_t cols,

@@ -1,11 +1,19 @@
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/node_selector.h"
 #include "core/raw_aggregation.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
+#include "parallel/parallel_for.h"
+#include "parallel/thread_pool.h"
+#include "tensor/check.h"
 #include "test_util.h"
 
 namespace e2gcl {
@@ -43,6 +51,318 @@ SelectorConfig TestConfig(std::int64_t budget) {
   cfg.sample_size = 64;
   cfg.auto_sample_size = false;
   return cfg;
+}
+
+// --- Reference: the greedy that visits every member of every cluster,
+// kept verbatim apart from its counters and timer. It also counts the
+// kernel distances a selector with exact cluster caps computes in its
+// rounds, from maxima it rescans every round. SelectCoreset must match
+// its nodes, weight bytes and representativity, and count exactly that.
+
+constexpr std::int64_t kSumRowFloor = 512;
+
+SelectionResult ReferenceSelectCoreset(const Matrix& r,
+                                       const SelectorConfig& config, Rng& rng,
+                                       std::uint64_t* capped_distances) {
+  *capped_distances = 0;
+  const std::int64_t n = r.rows();
+  E2GCL_CHECK(config.budget > 0 && config.budget <= n);
+  const std::int64_t k = config.budget;
+
+  // --- Line 2: cluster on the raw aggregation. ---------------------------
+  KMeansOptions km_opts;
+  km_opts.num_clusters = std::min<std::int64_t>(config.num_clusters, n);
+  km_opts.max_iters = config.kmeans_iters;
+  KMeansResult km = KMeans(r, km_opts, rng);
+  const std::int64_t nc = km.centers.rows();
+
+  // Initial "unrepresented" distance: an upper bound on any achievable
+  // clustered distance so first-pick gains are well defined.
+  float center_spread = 0.0f;
+  for (std::int64_t i = 0; i < nc; ++i) {
+    for (std::int64_t j = i + 1; j < nc; ++j) {
+      center_spread =
+          std::max(center_spread, RowDistance(km.centers, i, km.centers, j));
+    }
+  }
+  float max_radius = 0.0f;
+  for (float rad : km.max_radius) max_radius = std::max(max_radius, rad);
+  const float d_init = center_spread + 2.0f * max_radius + 1.0f;
+
+  std::vector<float> best_dist(n, d_init);
+  std::vector<char> selected_mask(n, 0);
+
+  // Effective per-round sample size (Theorem 3).
+  std::int64_t ns = config.sample_size;
+  if (config.auto_sample_size) {
+    const double theory =
+        std::ceil(static_cast<double>(n) / static_cast<double>(k) *
+                  std::log(1.0 / std::max(config.approx_eps, 1e-6)));
+    ns = std::min<std::int64_t>(
+        config.sample_size,
+        std::max<std::int64_t>(config.min_sample_size,
+                               static_cast<std::int64_t>(theory)));
+  }
+  ns = std::max<std::int64_t>(1, std::min(ns, n));
+
+  SelectionResult result;
+  result.nodes.reserve(k);
+
+  // Scratch: gain of adding candidate u =
+  //   sum_v max(0, best_dist[v] - d_new(v, u)).
+  std::vector<float> center_dist(nc);
+  while (static_cast<std::int64_t>(result.nodes.size()) < k) {
+    // --- Line 4: sample candidates from the unselected pool. -------------
+    std::vector<std::int64_t> pool;
+    pool.reserve(ns);
+    std::int64_t guard = 0;
+    while (static_cast<std::int64_t>(pool.size()) < ns && guard++ < ns * 30) {
+      const std::int64_t c = rng.UniformInt(n);
+      if (!selected_mask[c]) pool.push_back(c);
+    }
+    if (pool.empty()) {
+      for (std::int64_t v = 0; v < n && static_cast<std::int64_t>(pool.size()) < ns;
+           ++v) {
+        if (!selected_mask[v]) pool.push_back(v);
+      }
+    }
+    if (pool.empty()) break;  // Everything selected.
+    std::sort(pool.begin(), pool.end());
+    pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+    // The distances the cluster caps leave: every member of the
+    // candidate's cluster, and one center distance per other cluster
+    // whose largest best_dist exceeds its radius.
+    std::vector<float> cluster_max(nc, -std::numeric_limits<float>::infinity());
+    for (std::int64_t v = 0; v < n; ++v) {
+      cluster_max[km.assignment[v]] =
+          std::max(cluster_max[km.assignment[v]], best_dist[v]);
+    }
+    auto capped_per_node = [&](std::int64_t u) {
+      std::uint64_t count = km.clusters[km.assignment[u]].size();
+      for (std::int64_t j = 0; j < nc; ++j) {
+        if (j != km.assignment[u] && cluster_max[j] > km.max_radius[j]) {
+          ++count;
+        }
+      }
+      return count;
+    };
+    for (std::int64_t u : pool) *capped_distances += capped_per_node(u);
+
+    // --- Lines 5-8: pick the candidate with maximal marginal gain. -------
+    // Candidate gains are independent (each reads best_dist, none writes
+    // it), so they are computed in parallel — these are the Thm. 1
+    // pairwise raw-aggregated-distance loops, the selector's hot path.
+    // Each candidate's own summation order is unchanged, and the argmax
+    // runs serially in pool order, so the pick matches the serial code
+    // exactly at any thread count.
+    const std::int64_t pool_size = static_cast<std::int64_t>(pool.size());
+    std::vector<double> gains(pool_size, 0.0);
+    ParallelFor(0, pool_size, 1, [&](std::int64_t pb, std::int64_t pe) {
+      std::vector<float> cdist(nc);
+      for (std::int64_t pi = pb; pi < pe; ++pi) {
+        const std::int64_t u = pool[pi];
+        const std::int64_t cu = km.assignment[u];
+        for (std::int64_t j = 0; j < nc; ++j) {
+          cdist[j] = RowDistance(km.centers, j, r, u);
+        }
+        double gain = 0.0;
+        // Exact distances within u's cluster.
+        for (std::int64_t v : km.clusters[cu]) {
+          const float d = RowDistance(r, v, r, u);
+          if (d < best_dist[v]) gain += best_dist[v] - d;
+        }
+        // Relaxed distances for all other clusters: threshold per cluster.
+        for (std::int64_t j = 0; j < nc; ++j) {
+          if (j == cu) continue;
+          const float t = cdist[j] + km.max_radius[j];
+          for (std::int64_t v : km.clusters[j]) {
+            if (best_dist[v] > t) gain += best_dist[v] - t;
+          }
+        }
+        gains[pi] = gain;
+      }
+    });
+    double best_gain = -1.0;
+    std::int64_t best_u = pool.front();
+    for (std::int64_t pi = 0; pi < pool_size; ++pi) {
+      if (gains[pi] > best_gain) {
+        best_gain = gains[pi];
+        best_u = pool[pi];
+      }
+    }
+
+    // --- Line 9: commit and update best distances. ------------------------
+    selected_mask[best_u] = 1;
+    result.nodes.push_back(best_u);
+    const std::int64_t cu = km.assignment[best_u];
+    for (std::int64_t j = 0; j < nc; ++j) {
+      center_dist[j] = RowDistance(km.centers, j, r, best_u);
+    }
+    // Exact element-wise min updates: each v is owned by one chunk.
+    const auto& cu_members = km.clusters[cu];
+    const std::int64_t n_members = static_cast<std::int64_t>(cu_members.size());
+    ParallelFor(0, n_members, GrainForCost(r.cols()),
+                [&](std::int64_t mb, std::int64_t me) {
+                  for (std::int64_t mi = mb; mi < me; ++mi) {
+                    const std::int64_t v = cu_members[mi];
+                    best_dist[v] =
+                        std::min(best_dist[v], RowDistance(r, v, r, best_u));
+                  }
+                });
+    // The commit's own cluster is exact, the others still hold the
+    // maxima of the round.
+    *capped_distances += capped_per_node(best_u);
+    for (std::int64_t j = 0; j < nc; ++j) {
+      if (j == cu) continue;
+      const float t = center_dist[j] + km.max_radius[j];
+      for (std::int64_t v : km.clusters[j]) {
+        best_dist[v] = std::min(best_dist[v], t);
+      }
+    }
+  }
+
+  // --- Line 10: representation weights lambda. ----------------------------
+  // Each node is assigned to its nearest selected node under the
+  // clustered metric. To keep this O(n * (|Vs ∩ cluster| + nc)) instead
+  // of O(n * |Vs|), precompute per cluster the best relaxed
+  // representative.
+  const std::int64_t ks = static_cast<std::int64_t>(result.nodes.size());
+  result.weights.assign(ks, 0.0f);
+  std::vector<std::int64_t> sel_index(n, -1);
+  for (std::int64_t i = 0; i < ks; ++i) sel_index[result.nodes[i]] = i;
+
+  // Group selected nodes by cluster.
+  std::vector<std::vector<std::int64_t>> sel_by_cluster(nc);
+  for (std::int64_t i = 0; i < ks; ++i) {
+    sel_by_cluster[km.assignment[result.nodes[i]]].push_back(result.nodes[i]);
+  }
+  // Best relaxed representative per *target* cluster j: the selected u
+  // minimizing ||c_j - R[u]|| (the +d_j^max offset is common).
+  std::vector<std::int64_t> best_cross(nc, -1);
+  std::vector<float> best_cross_dist(nc, std::numeric_limits<float>::max());
+  // Each target cluster j scans the selected set independently.
+  ParallelFor(0, nc, 1, [&](std::int64_t jb, std::int64_t je) {
+    for (std::int64_t j = jb; j < je; ++j) {
+      for (std::int64_t u : result.nodes) {
+        if (km.assignment[u] == j) continue;  // Eq. 13: u2 outside C_i.
+        const float d = RowDistance(km.centers, j, r, u);
+        if (d < best_cross_dist[j]) {
+          best_cross_dist[j] = d;
+          best_cross[j] = u;
+        }
+      }
+    }
+  });
+  // Per-chunk weight/objective partials, reduced in chunk order. Weight
+  // increments are +1.0f adds, which are exact under any regrouping, so
+  // the weights themselves are bit-identical to the serial pass.
+  const std::int64_t w_grain = std::max(kSumRowFloor, GrainForCost(r.cols()));
+  const std::int64_t w_chunks = NumChunks(n, w_grain);
+  std::vector<std::vector<float>> weight_parts(
+      std::max<std::int64_t>(1, w_chunks));
+  std::vector<double> objective_parts(std::max<std::int64_t>(1, w_chunks),
+                                      0.0);
+  ParallelForChunks(
+      0, n, w_grain, [&](std::int64_t chunk, std::int64_t vb, std::int64_t ve) {
+        std::vector<float> wpart(ks, 0.0f);
+        double objective = 0.0;
+        for (std::int64_t v = vb; v < ve; ++v) {
+          const std::int64_t cv = km.assignment[v];
+          float best = std::numeric_limits<float>::max();
+          std::int64_t rep = -1;
+          for (std::int64_t u : sel_by_cluster[cv]) {
+            const float d = RowDistance(r, v, r, u);
+            if (d < best) {
+              best = d;
+              rep = u;
+            }
+          }
+          if (best_cross[cv] >= 0) {
+            const float d = best_cross_dist[cv] + km.max_radius[cv];
+            if (d < best) {
+              best = d;
+              rep = best_cross[cv];
+            }
+          }
+          if (rep < 0) rep = result.nodes.front();
+          wpart[sel_index[rep]] += 1.0f;
+          objective += best == std::numeric_limits<float>::max() ? 0.0 : best;
+        }
+        weight_parts[chunk] = std::move(wpart);
+        objective_parts[chunk] = objective;
+      });
+  double objective = 0.0;
+  for (std::int64_t chunk = 0; chunk < w_chunks; ++chunk) {
+    for (std::int64_t i = 0; i < ks; ++i) {
+      result.weights[i] += weight_parts[chunk][i];
+    }
+    objective += objective_parts[chunk];
+  }
+  result.representativity = objective;
+  return result;
+}
+
+
+std::uint64_t SelectorDistances() {
+  return MetricsRegistry::Get().Snapshot().counter("selector.distances");
+}
+
+void ExpectSelectionMatchesReference(const Matrix& r,
+                                     const SelectorConfig& cfg,
+                                     std::uint64_t seed) {
+  Rng ref_rng(seed);
+  std::uint64_t capped = 0;
+  const SelectionResult ref = ReferenceSelectCoreset(r, cfg, ref_rng, &capped);
+  for (const int threads : {1, 2, 7}) {
+    SetNumThreads(threads);
+    SCOPED_TRACE(::testing::Message()
+                 << "threads " << threads << " budget " << cfg.budget
+                 << " n_c " << cfg.num_clusters << " auto "
+                 << cfg.auto_sample_size);
+    Rng rng(seed);
+    const std::uint64_t before = SelectorDistances();
+    const SelectionResult res = SelectCoreset(r, cfg, rng);
+    EXPECT_EQ(SelectorDistances() - before, capped);
+    EXPECT_EQ(res.nodes, ref.nodes);
+    EXPECT_TRUE(res.weights.size() == ref.weights.size() &&
+                std::memcmp(res.weights.data(), ref.weights.data(),
+                            sizeof(float) * ref.weights.size()) == 0);
+    EXPECT_EQ(std::memcmp(&res.representativity, &ref.representativity,
+                          sizeof(double)),
+              0);
+  }
+  SetNumThreads(1);
+}
+
+TEST(SelectCoresetExact, MatchesFullGreedyAcrossBudgetsAndClusterCounts) {
+  Graph g = GenerateSbm({.num_nodes = 300, .num_classes = 5,
+                         .feature_dim = 48, .avg_degree = 6},
+                        21);
+  const Matrix r = RawAggregation(g, 2);
+  for (const std::int64_t nc : {1, 8, 120}) {
+    for (const std::int64_t budget : {std::int64_t{1}, std::int64_t{60},
+                                      r.rows()}) {
+      SelectorConfig cfg = TestConfig(budget);
+      cfg.num_clusters = nc;
+      ExpectSelectionMatchesReference(r, cfg, 22);
+      cfg.auto_sample_size = true;
+      cfg.sample_size = 300;
+      ExpectSelectionMatchesReference(r, cfg, 23);
+    }
+  }
+}
+
+TEST(SelectCoresetExact, ShardShapedSelectionMatches) {
+  // Budget 10% of a 1,500-node graph with 40 clusters: the shape of a
+  // sharded training selection, scaled down.
+  Graph g = GenerateSbm({.num_nodes = 1500, .num_classes = 6,
+                         .feature_dim = 64, .avg_degree = 8},
+                        24);
+  const Matrix r = RawAggregation(g, 2);
+  SelectorConfig cfg;
+  cfg.budget = 150;
+  cfg.num_clusters = 40;
+  ExpectSelectionMatchesReference(r, cfg, 25);
 }
 
 TEST(SelectCoreset, BudgetRespectedAndDistinct) {

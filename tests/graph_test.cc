@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "tensor/rng.h"
 #include "test_util.h"
 
 namespace e2gcl {
@@ -164,6 +172,119 @@ TEST(AverageDegree, MatchesFormula) {
 TEST(BuildGraph, RejectsNodeCountsBeyondInt32IdRange) {
   const std::int64_t too_many = (std::int64_t{1} << 31) + 1;
   EXPECT_DEATH(BuildGraph(too_many, {{0, too_many - 1}}), "int32");
+}
+
+// --- References: the sort-based BuildGraph and triplet-based
+// NormalizedAdjacency, kept verbatim. The counting-sort and direct-row
+// forms must give the same bytes.
+
+Graph ReferenceBuildGraph(
+    std::int64_t num_nodes,
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& edges) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> dir;
+  dir.reserve(edges.size() * 2);
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    dir.emplace_back(u, v);
+    dir.emplace_back(v, u);
+  }
+  std::sort(dir.begin(), dir.end());
+  dir.erase(std::unique(dir.begin(), dir.end()), dir.end());
+  Graph g;
+  g.num_nodes = num_nodes;
+  g.row_ptr.assign(num_nodes + 1, 0);
+  g.col.reserve(dir.size());
+  for (const auto& [u, v] : dir) {
+    g.col.push_back(static_cast<std::int32_t>(v));
+    g.row_ptr[u + 1] += 1;
+  }
+  for (std::int64_t i = 0; i < num_nodes; ++i) g.row_ptr[i + 1] += g.row_ptr[i];
+  return g;
+}
+
+CsrMatrix ReferenceNormalizedAdjacency(const Graph& g) {
+  const std::int64_t n = g.num_nodes;
+  std::vector<double> deg(n, 1.0);
+  for (std::int64_t v = 0; v < n; ++v) deg[v] += g.Degree(v);
+  std::vector<std::tuple<std::int64_t, std::int64_t, float>> triplets;
+  triplets.reserve(g.col.size() + n);
+  for (std::int64_t v = 0; v < n; ++v) {
+    const double dv = deg[v];
+    triplets.emplace_back(v, v, static_cast<float>(1.0 / dv));
+    for (std::int32_t u : g.Neighbors(v)) {
+      triplets.emplace_back(
+          v, u, static_cast<float>(1.0 / std::sqrt(dv * deg[u])));
+    }
+  }
+  CsrMatrix adj = CsrMatrix::FromCoo(n, n, std::move(triplets));
+  adj.MarkSymmetricIfExact();
+  return adj;
+}
+
+void ExpectSameAsReferences(
+    std::int64_t n,
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& edges) {
+  SCOPED_TRACE(::testing::Message() << "n " << n << " edges " << edges.size());
+  const Graph g = BuildGraph(n, edges);
+  const Graph ref = ReferenceBuildGraph(n, edges);
+  EXPECT_EQ(g.num_nodes, ref.num_nodes);
+  EXPECT_EQ(g.row_ptr, ref.row_ptr);
+  EXPECT_EQ(g.col, ref.col);
+  const CsrMatrix a = NormalizedAdjacency(g);
+  const CsrMatrix b = ReferenceNormalizedAdjacency(ref);
+  EXPECT_EQ(a.rows(), b.rows());
+  EXPECT_EQ(a.cols(), b.cols());
+  EXPECT_EQ(a.row_ptr(), b.row_ptr());
+  EXPECT_EQ(a.col_idx(), b.col_idx());
+  EXPECT_TRUE(a.values().size() == b.values().size() &&
+              std::memcmp(a.values().data(), b.values().data(),
+                          sizeof(float) * b.values().size()) == 0);
+  EXPECT_EQ(a.symmetric(), b.symmetric());
+}
+
+TEST(BuildGraphExact, MatchesSortBasedFormOnEdgeCases) {
+  // Self loops, duplicate and reversed edges, isolated nodes (0, 3 and
+  // the last one).
+  ExpectSameAsReferences(
+      7, {{1, 2}, {2, 1}, {1, 2}, {4, 4}, {2, 5}, {5, 2}, {1, 4}, {4, 1},
+          {2, 2}, {5, 1}, {1, 5}, {4, 5}});
+  ExpectSameAsReferences(5, {});                  // No edges at all.
+  ExpectSameAsReferences(3, {{0, 0}, {2, 2}});    // Only self loops.
+  ExpectSameAsReferences(0, {});                  // No nodes.
+  ExpectSameAsReferences(2, {{1, 0}, {0, 1}, {1, 0}});
+}
+
+TEST(BuildGraphExact, MatchesSortBasedFormOnRandomMultigraphs) {
+  Rng rng(31);
+  for (const std::int64_t n : {1, 2, 17, 200}) {
+    std::vector<std::pair<std::int64_t, std::int64_t>> edges;
+    for (std::int64_t e = 0; e < 6 * n; ++e) {
+      // Few distinct endpoints, so duplicates and self loops abound;
+      // the top 10% of ids stay isolated.
+      const std::int64_t span = std::max<std::int64_t>(1, n - n / 10);
+      edges.emplace_back(rng.UniformInt(span), rng.UniformInt(span));
+    }
+    ExpectSameAsReferences(n, edges);
+  }
+}
+
+TEST(CsrMatrixDeathTest, SortedRowsConstructorChecksCanonicalRows) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<float> two(2, 1.0f);
+  const CsrMatrix ok(2, 3, {0, 2, 2}, {0, 2}, two);
+  EXPECT_EQ(ok.nnz(), 2);
+  EXPECT_DEATH(CsrMatrix(2, 3, {0, 2, 2}, {2, 0}, two), "ascending");
+  EXPECT_DEATH(CsrMatrix(2, 3, {0, 2, 2}, {1, 1}, two), "ascending");
+  EXPECT_DEATH(CsrMatrix(2, 3, {0, 1, 2}, {0, 3}, two), "ascending");
+  EXPECT_DEATH(CsrMatrix(2, 3, {0, 2, 1}, {0, 1}, two), "");
+  EXPECT_DEATH(CsrMatrix(2, 3, {0, 2}, {0, 1}, two), "");
+}
+
+TEST(NormalizedAdjacencyDeathTest, RejectsANonCanonicalGraph) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Graph g = BuildGraph(3, {{0, 1}, {1, 2}});
+  g.col[g.row_ptr[1]] = 1;  // A self loop in row 1.
+  EXPECT_DEATH(NormalizedAdjacency(g), "ascending");
 }
 
 }  // namespace

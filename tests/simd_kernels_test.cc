@@ -263,7 +263,7 @@ TEST(SimdContract, GemmTransARowsMatchesAxpyLoopAndMasksNaN) {
         // Accumulates into a non-zero C, over the full and a partial
         // range of rows and shared rows.
         const std::vector<float> c0 = RandomVec(m * n, rng);
-        for (const auto [rb, re, pb, pe] :
+        for (const auto& [rb, re, pb, pe] :
              {std::tuple{std::int64_t{0}, m, std::int64_t{0}, k},
               std::tuple{m / 3, m - m / 4, k / 2, k}}) {
           std::vector<float> got = c0;

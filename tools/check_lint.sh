@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Lint gate: builds e2gcl_lint (with -Werror on, so the gate also
-# proves the tree compiles warning-clean) and runs it over src/,
-# tools/ and tests/. Exits nonzero on any unsuppressed finding.
+# Lint gate: builds every target with -Werror on (libraries, tools,
+# tests, benches and examples, so the gate proves the whole tree
+# compiles warning-clean), then runs e2gcl_lint over src/, tools/ and
+# tests/. Exits nonzero on a warning or any unsuppressed finding.
 #
 #   tools/check_lint.sh           # text diagnostics
 #   tools/check_lint.sh --json    # machine-readable report on stdout
@@ -17,7 +18,11 @@ BUILD="$ROOT/build-lint"
 cmake -B "$BUILD" -S "$ROOT" -DE2GCL_WERROR=ON \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "$BUILD" -j "$(nproc)" --target e2gcl_lint >/dev/null
+if ! cmake --build "$BUILD" -j "$(nproc)" >"$BUILD/werror-build.log" 2>&1; then
+  grep -E "error|warning" "$BUILD/werror-build.log" | head -40 >&2
+  echo "-Werror build FAILED, log in $BUILD/werror-build.log" >&2
+  exit 1
+fi
 
 status=0
 "$BUILD/tools/e2gcl_lint" --root "$ROOT" "$@" || status=$?

@@ -13,6 +13,11 @@
 #   tools/check_sanitizers.sh undefined     # UBSan only
 #   tools/check_sanitizers.sh portable      # E2GCL_SIMD=portable build only
 #   tools/check_sanitizers.sh threadsafety  # -DE2GCL_THREAD_SAFETY=ON build
+#   tools/check_sanitizers.sh thread address portable  # several legs
+#
+# Several names run every leg named, in the order given (lint, when
+# named, always runs first), and the summary lists each; an unknown
+# name prints the usage and exits 2 before anything builds.
 #
 # The portable leg rebuilds with -DE2GCL_SIMD=portable and runs the
 # same suites, proving the scalar kernel fallback stays green on
@@ -35,20 +40,26 @@
 # summary prints at the end; the exit code is nonzero if any leg failed.
 set -euo pipefail
 
+usage() {
+  echo "usage: $0 [lint|thread|address|undefined|portable|threadsafety|both|all]..." >&2
+  exit 2
+}
+
+# Every named leg runs, in the order given; an unknown name is refused
+# before anything builds.
 RUN_LINT=0
-case "${1:-all}" in
-  lint)         LEGS=(); RUN_LINT=1 ;;
-  thread)       LEGS=(thread) ;;
-  address)      LEGS=(address) ;;
-  undefined)    LEGS=(undefined) ;;
-  portable)     LEGS=(portable) ;;
-  threadsafety) LEGS=(threadsafety) ;;
-  both)         LEGS=(thread address) ;;
-  all)          LEGS=(thread address undefined portable threadsafety)
-                RUN_LINT=1 ;;
-  *) echo "usage: $0 [lint|thread|address|undefined|portable|threadsafety|both|all]" >&2
-     exit 2 ;;
-esac
+LEGS=()
+[ $# -gt 0 ] || set -- all
+for ARG in "$@"; do
+  case "$ARG" in
+    lint)         RUN_LINT=1 ;;
+    thread|address|undefined|portable|threadsafety) LEGS+=("$ARG") ;;
+    both)         LEGS+=(thread address) ;;
+    all)          LEGS+=(thread address undefined portable threadsafety)
+                  RUN_LINT=1 ;;
+    *) usage ;;
+  esac
+done
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
@@ -73,6 +84,7 @@ TARGETS=(
   parallel_test
   tensor_matrix_test
   tensor_csr_test
+  graph_test
   simd_kernels_test
   kmeans_test
   baselines_test
@@ -99,7 +111,7 @@ TARGETS=(
   shard_test
 )
 
-for LEG in "${LEGS[@]}"; do
+for LEG in ${LEGS[@]+"${LEGS[@]}"}; do
   BUILD="$ROOT/build-$LEG"
   leg_status=0
 
@@ -122,13 +134,17 @@ for LEG in "${LEGS[@]}"; do
     # Not a sanitizer: a plain build forced onto the scalar SIMD
     # backend, running the same suites (plus the kernel parity tests,
     # which become exact-equality comparisons in this mode).
-    cmake -B "$BUILD" -S "$ROOT" -DE2GCL_SIMD=portable \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    CONFIG=(-DE2GCL_SIMD=portable)
   else
-    cmake -B "$BUILD" -S "$ROOT" -DE2GCL_SANITIZE="$LEG" \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    CONFIG=(-DE2GCL_SANITIZE="$LEG")
   fi
-  cmake --build "$BUILD" -j "$(nproc)" --target "${TARGETS[@]}"
+  # A leg that fails to build is recorded and the next leg still runs.
+  if ! cmake -B "$BUILD" -S "$ROOT" "${CONFIG[@]}" \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo ||
+     ! cmake --build "$BUILD" -j "$(nproc)" --target "${TARGETS[@]}"; then
+    record "$LEG" 1
+    continue
+  fi
 
   # Exercise a real pool even on small CI machines; fail on any report.
   export E2GCL_NUM_THREADS="${E2GCL_NUM_THREADS:-4}"
@@ -146,9 +162,9 @@ for LEG in "${LEGS[@]}"; do
     fi
   done
   if [ "$LEG" = address ] || [ "$LEG" = undefined ]; then
-    cmake --build "$BUILD" -j "$(nproc)" --target bench_paper
     echo "=== bench_paper ($LEG) ==="
-    if ! E2GCL_BENCH_SCALE=0.1 E2GCL_BENCH_RUNS=1 E2GCL_BENCH_EPOCHS=2 \
+    if ! cmake --build "$BUILD" -j "$(nproc)" --target bench_paper ||
+       ! E2GCL_BENCH_SCALE=0.1 E2GCL_BENCH_RUNS=1 E2GCL_BENCH_EPOCHS=2 \
         "$BUILD/bench/bench_paper" >/dev/null; then
       leg_status=1
     fi

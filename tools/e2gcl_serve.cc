@@ -184,11 +184,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--fingerprint" &&
                ParseU64(next(), &options.expected_fingerprint)) {
     } else if (arg == "--embed" && ParseInt(next(), 0, (1ll << 62), &v)) {
-      queries.push_back({Query::Kind::kEmbed, v, 0});
+      queries.push_back({Query::Kind::kEmbed, v, 0, {}});
     } else if (arg == "--score" && ParsePair(next(), &v, &w)) {
-      queries.push_back({Query::Kind::kScore, v, w});
+      queries.push_back({Query::Kind::kScore, v, w, {}});
     } else if (arg == "--topk" && ParsePair(next(), &v, &w)) {
-      queries.push_back({Query::Kind::kTopK, v, w});
+      queries.push_back({Query::Kind::kTopK, v, w, {}});
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--listen") {
