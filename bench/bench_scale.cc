@@ -13,12 +13,13 @@
 //       end-to-end (partition -> per-shard coreset selection ->
 //       contrastive epochs). Writes BENCH_scale.json — an array of
 //       {"name", "threads", "ns_per_iter", "wall_s", "peak_rss_bytes"}
-//       records keyed for tools/bench_compare, which
-//       tools/check_scale.sh gates at a 1.25x threshold. With
-//       --max-rss-mb the process exits 3 when its peak RSS exceeds the
-//       budget — the out-of-core guarantee, enforced where a
-//       fully-resident run provably cannot pass (see DESIGN.md).
-//       Set E2GCL_BENCH_JSON to change the output path.
+//       records keyed for tools/bench_compare (name + "#t" + threads),
+//       which tools/check_perf.sh's scale suite gates at a 25% bound
+//       over 10 alternating pairs. With --max-rss-mb the process exits
+//       3 when its peak RSS exceeds the budget — the out-of-core
+//       guarantee, enforced where a fully-resident run provably cannot
+//       pass (see DESIGN.md). Set E2GCL_BENCH_JSON to change the output
+//       path.
 //
 // The coreset budget is a small absolute fraction with a fixed sample
 // size. A greedy round computes each candidate's exact distances to its

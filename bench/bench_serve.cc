@@ -3,14 +3,10 @@
 // batch size, for both cache-cold (lazy, evicting) and cache-hot
 // regimes plus the precompute mode.
 //
-// Writes BENCH_serve.json — an array of
-//   {"name", "threads", "batch", "ns_per_iter", "p50_us", "p99_us",
-//    "qps"}
-// records keyed for tools/bench_compare (name + "#t" + threads), which
-// tools/check_serve.sh gates at a 1.25x regression threshold. Set
-// E2GCL_BENCH_JSON to change the output path.
+// Writes BENCH_serve.json, an array of the serve_bench.h records, which
+// tools/check_perf.sh's serve suite gates at a 50% bound over 10
+// alternating pairs. Set E2GCL_BENCH_JSON to change the output path.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -19,11 +15,9 @@
 #include <thread>
 #include <vector>
 
-#include "graph/generators.h"
-#include "io/checkpoint.h"
-#include "nn/gcn.h"
 #include "parallel/thread_pool.h"
 #include "serve/embedding_server.h"
+#include "serve_bench.h"
 #include "tensor/rng.h"
 
 namespace e2gcl {
@@ -31,38 +25,6 @@ namespace {
 
 constexpr int kClientThreads = 4;
 constexpr int kQueriesPerClient = 400;
-
-struct BenchRecord {
-  std::string name;
-  int threads;
-  std::int64_t batch;
-  double ns_per_iter;
-  double p50_us;
-  double p99_us;
-  double qps;
-};
-
-Graph BenchGraph() {
-  SbmSpec spec;
-  spec.num_nodes = 1024;
-  spec.num_classes = 4;
-  spec.feature_dim = 32;
-  spec.avg_degree = 8;
-  spec.informative_dims_per_class = 6;
-  return GenerateSbm(spec, 1);
-}
-
-TrainerCheckpoint BenchCheckpoint(const Graph& g) {
-  GcnConfig cfg;
-  cfg.dims = {g.feature_dim(), 64, 32};
-  Rng rng(2);
-  GcnEncoder encoder(cfg, rng);
-  TrainerCheckpoint ckpt;
-  ckpt.epoch = 0;
-  ckpt.config_fingerprint = 1;
-  ckpt.encoder_params = encoder.params().CloneValues();
-  return ckpt;
-}
 
 /// Fires kClientThreads concurrent clients at the server and returns the
 /// pooled per-request wall latencies in microseconds.
@@ -90,22 +52,6 @@ std::vector<double> DriveClients(EmbeddingServer& server,
   std::vector<double> all;
   for (const auto& v : per_client) all.insert(all.end(), v.begin(), v.end());
   return all;
-}
-
-BenchRecord Summarize(const std::string& name, int threads,
-                      std::int64_t batch, std::vector<double> latencies_us,
-                      double wall_seconds) {
-  std::sort(latencies_us.begin(), latencies_us.end());
-  const std::size_t n = latencies_us.size();
-  BenchRecord rec;
-  rec.name = name;
-  rec.threads = threads;
-  rec.batch = batch;
-  rec.p50_us = latencies_us[n / 2];
-  rec.p99_us = latencies_us[std::min(n - 1, n * 99 / 100)];
-  rec.qps = static_cast<double>(n) / wall_seconds;
-  rec.ns_per_iter = wall_seconds * 1e9 / static_cast<double>(n);
-  return rec;
 }
 
 /// TopKSimilar variant of DriveClients: each query asks for the 8
@@ -249,29 +195,6 @@ BenchRecord RunConfig(const Graph& g, const TrainerCheckpoint& ckpt,
                    std::chrono::duration<double>(t1 - t0).count());
 }
 
-void WriteJson(const std::vector<BenchRecord>& records, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_serve: cannot write %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const BenchRecord& r = records[i];
-    std::fprintf(f,
-                 "  {\"name\": \"%s\", \"threads\": %d, \"batch\": %lld, "
-                 "\"ns_per_iter\": %.3f, \"p50_us\": %.3f, "
-                 "\"p99_us\": %.3f, \"qps\": %.1f}%s\n",
-                 r.name.c_str(), r.threads,
-                 static_cast<long long>(r.batch), r.ns_per_iter, r.p50_us,
-                 r.p99_us, r.qps, i + 1 < records.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::fprintf(stderr, "bench_serve: wrote %zu records to %s\n",
-               records.size(), path);
-}
-
 }  // namespace
 }  // namespace e2gcl
 
@@ -281,8 +204,7 @@ int main() {
   const TrainerCheckpoint ckpt = BenchCheckpoint(g);
   std::vector<BenchRecord> records;
 
-  std::printf("%-28s %8s %6s %12s %9s %9s %10s\n", "config", "threads",
-              "batch", "ns/req", "p50(us)", "p99(us)", "qps");
+  PrintHeader();
   for (int threads : {1, 2, 4}) {
     for (std::int64_t batch : {std::int64_t{1}, std::int64_t{16},
                                std::int64_t{64}}) {
@@ -318,24 +240,13 @@ int main() {
     records.push_back(
         RunTopKConfig(g, ckpt, "serve/topk_int8_approx/b16", threads, topk));
     for (std::size_t i = records.size() - 10; i < records.size(); ++i) {
-      const BenchRecord& r = records[i];
-      std::printf("%-28s %8d %6lld %12.0f %9.1f %9.1f %10.0f\n",
-                  r.name.c_str(), r.threads,
-                  static_cast<long long>(r.batch), r.ns_per_iter, r.p50_us,
-                  r.p99_us, r.qps);
+      PrintRecord(records[i]);
     }
   }
 
   // Saturated-admission scenario (load shedding + bounded retry).
   records.push_back(RunOverloadConfig(g, ckpt, "serve/overload/b16", 4));
-  {
-    const BenchRecord& r = records.back();
-    std::printf("%-28s %8d %6lld %12.0f %9.1f %9.1f %10.0f\n",
-                r.name.c_str(), r.threads, static_cast<long long>(r.batch),
-                r.ns_per_iter, r.p50_us, r.p99_us, r.qps);
-  }
-
-  const char* path = std::getenv("E2GCL_BENCH_JSON");
-  WriteJson(records, path != nullptr ? path : "BENCH_serve.json");
+  PrintRecord(records.back());
+  WriteJson(records, "BENCH_serve.json");
   return 0;
 }

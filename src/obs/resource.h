@@ -9,8 +9,8 @@ namespace e2gcl {
 ///
 /// PeakRssBytes() is the process-LIFETIME high-water mark (VmHWM): it
 /// never decreases, so a phase that wants a clean peak measurement must
-/// run in its own process (tools/check_scale.sh generates the graph
-/// store and trains in two separate processes for exactly this reason).
+/// run in its own process (bench_scale generates the graph store and
+/// trains in two separate processes for exactly this reason).
 
 /// Peak resident-set size of the calling process in bytes, from
 /// /proc/self/status VmHWM, falling back to getrusage(ru_maxrss).

@@ -14,7 +14,6 @@
 #include "core/thread_annotations.h"
 #include "graph/graph.h"
 #include "io/checkpoint.h"
-#include "nn/gcn.h"
 #include "serve/fault_injector.h"
 #include "serve/lru_cache.h"
 #include "serve/quantized_table.h"
@@ -67,12 +66,6 @@ struct ServeOptions {
   /// differs (same contract as trainer resume). Hot reloads revalidate
   /// against the same fingerprint.
   std::uint64_t expected_fingerprint = 0;
-  /// Encoder architecture. When `encoder.dims` is empty (the serving
-  /// default — note GcnConfig's own default dims are non-empty) the
-  /// widths and bias flag are inferred from the checkpoint parameter
-  /// shapes (InferEncoderLayout) and the remaining knobs keep the
-  /// trainer defaults (ReLU, linear final layer, no PReLU).
-  GcnConfig encoder = {.dims = {}};
   /// Test-only fault hooks; unset in production (fault_injector.h).
   ServeFaultInjector fault_injector;
 };

@@ -24,16 +24,15 @@ std::shared_ptr<ModelState> BuildModelState(const Graph& graph,
     return fail("checkpoint config fingerprint does not match the expected "
                 "fingerprint");
   }
-  GcnConfig config = options.encoder;
-  if (config.dims.empty()) {
-    if (!InferEncoderLayout(ckpt.encoder_params, &config.dims,
-                            &config.bias)) {
-      return fail("checkpoint encoder parameters form no consistent GCN "
-                  "layer chain");
-    }
+  // The widths and bias flag come from the checkpoint's parameter
+  // shapes; the other knobs keep the defaults of the encoder TrainLoop
+  // builds (ReLU, linear final layer, no PReLU). Serving is
+  // inference-only, so dropout stays 0.
+  GcnConfig config;
+  if (!InferEncoderLayout(ckpt.encoder_params, &config.dims, &config.bias)) {
+    return fail("checkpoint encoder parameters form no consistent GCN "
+                "layer chain");
   }
-  // Serving is inference-only; dropout would be ignored anyway.
-  config.dropout = 0.0f;
   if (config.dims.front() != graph.feature_dim()) {
     return fail("checkpoint encoder input width does not match the graph's "
                 "feature dimension");

@@ -7,7 +7,9 @@
 //     masking, node dropping, subgraph sampling) — shown constructively.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,22 +24,21 @@ namespace {
 
 // --- Theorem 3 (approximation quality). -------------------------------------
 
-/// Exhaustive optimum of the Eq. 14 objective over all subsets of size k.
+/// Exhaustive optimum of the Eq. 14 objective over all subsets of size k
+/// (one bit per node of a mask; n is tiny).
 double BruteForceOptimum(const Matrix& r, const KMeansResult& km,
                          std::int64_t k) {
   const std::int64_t n = r.rows();
-  std::vector<std::int64_t> subset(k);
+  std::vector<std::int64_t> subset;
   double best = 1e300;
-  std::vector<char> mask(n, 0);
-  std::fill(mask.begin(), mask.begin() + k, 1);
-  std::sort(mask.begin(), mask.end());  // lexicographically first combo
-  do {
+  for (std::uint32_t mask = 0; mask < (std::uint32_t{1} << n); ++mask) {
+    if (std::popcount(mask) != k) continue;
     subset.clear();
     for (std::int64_t i = 0; i < n; ++i) {
-      if (mask[i]) subset.push_back(i);
+      if ((mask >> i) & 1u) subset.push_back(i);
     }
     best = std::min(best, RepresentativityObjective(r, km, subset));
-  } while (std::next_permutation(mask.begin(), mask.end()));
+  }
   return best;
 }
 

@@ -42,28 +42,13 @@ SHA="$(git -C "$ROOT" rev-parse --verify "$REV^{commit}")" || usage
 WORK="${E2GCL_BITEXACT_DIR:-$ROOT/build-bitexact-$SIMD}"
 mkdir -p "$WORK"
 
-build() {  # build <source dir> <build dir>
-  echo "check_bitexact: building $1 (E2GCL_SIMD=$SIMD)"
-  if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release \
-           -DE2GCL_SIMD="$SIMD" &&
-         cmake --build "$2" -j "$(nproc)" --target e2gcl_cli; } \
-       >"$2.log" 2>&1; then
-    tail -20 "$2.log" >&2
-    echo "check_bitexact: build failed, log in $2.log" >&2
-    exit 2
-  fi
-}
-
-# The exported tree is refreshed only when <rev> resolves to a new
-# commit, so repeated checks against one revision rebuild nothing.
-if [ "$(cat "$WORK/rev.sha" 2>/dev/null)" != "$SHA" ]; then
-  rm -rf "$WORK/rev-src" "$WORK/rev-build"
-  mkdir -p "$WORK/rev-src"
-  git -C "$ROOT" archive "$SHA" | tar -x -C "$WORK/rev-src"
-  echo "$SHA" >"$WORK/rev.sha"
-fi
-build "$WORK/rev-src" "$WORK/rev-build"
-build "$ROOT" "$WORK/head-build"
+# shellcheck source=tools/rev_build.sh
+source "$ROOT/tools/rev_build.sh"
+rev_export "$ROOT" "$SHA" "$WORK"
+rev_build check_bitexact "$WORK/rev-src" "$WORK/rev-build" e2gcl_cli \
+  -DE2GCL_SIMD="$SIMD"
+rev_build check_bitexact "$ROOT" "$WORK/head-build" e2gcl_cli \
+  -DE2GCL_SIMD="$SIMD"
 
 # Per-epoch losses of a run report, one exact (%.17g round-trip) line
 # each.
