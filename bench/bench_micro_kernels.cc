@@ -3,7 +3,12 @@
 // coreset selector, the contrastive loss, and view generation throughput.
 //
 // Kernels that go through the thread pool run a thread-scaling sweep
-// (1/2/4/8 via SetNumThreads, the same knob E2GCL_NUM_THREADS controls).
+// (1/2/4/8 via SetNumThreads, the same knob E2GCL_NUM_THREADS controls);
+// the size-swept kernels after them run at the pool size the process
+// started with. BM_TopKScan times the serving TopK scan over a
+// norm-ordered table against BM_TopKScanReference, the id-order slab
+// scan it replaced, on a hub-dominated table and on a flat one where the
+// scan cannot stop early.
 // Besides the usual console table, the binary writes BENCH_kernels.json —
 // one record per run: {kernel, size, threads, ns_per_iter} — so the perf
 // trajectory is machine-trackable across commits. Set E2GCL_BENCH_JSON to
@@ -11,6 +16,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -23,13 +30,20 @@
 #include "core/raw_aggregation.h"
 #include "core/view_generator.h"
 #include "graph/generators.h"
+#include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
+#include "serve/embedding_server.h"
 #include "tensor/csr.h"
+#include "tensor/simd/simd.h"
 
 namespace e2gcl {
 namespace {
 
 constexpr std::int64_t kThreadSweep[] = {1, 2, 4, 8};
+
+/// The pool size the process started with, read by main() before the
+/// thread sweeps resize the pool.
+int g_start_threads = 1;
 
 void ThreadSweep(benchmark::internal::Benchmark* b) {
   for (std::int64_t t : kThreadSweep) b->Arg(t);
@@ -193,10 +207,12 @@ void BM_InfoNceThreads(benchmark::State& state) {
 BENCHMARK(BM_InfoNceThreads)->Apply(ThreadSweep)->UseRealTime();
 
 // --------------------------------------------------------------------------
-// Size-swept kernels at the default thread count (arg 0 = problem size).
+// Size-swept kernels at the default thread count (arg 0 = problem size):
+// each restores the pool size the process started with.
 // --------------------------------------------------------------------------
 
 void BM_Gemm(benchmark::State& state) {
+  SetNumThreads(g_start_threads);
   const std::int64_t n = state.range(0);
   Rng rng(1);
   Matrix a = Matrix::RandomNormal(n, 128, 0, 1, rng);
@@ -209,6 +225,7 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_Spmm(benchmark::State& state) {
+  SetNumThreads(g_start_threads);
   const std::int64_t n = state.range(0);
   Graph g = BenchGraph(n);
   CsrMatrix an = NormalizedAdjacency(g);
@@ -222,6 +239,7 @@ void BM_Spmm(benchmark::State& state) {
 BENCHMARK(BM_Spmm)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_RawAggregation(benchmark::State& state) {
+  SetNumThreads(g_start_threads);
   Graph g = BenchGraph(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(RawAggregation(g, 2));
@@ -230,6 +248,7 @@ void BM_RawAggregation(benchmark::State& state) {
 BENCHMARK(BM_RawAggregation)->Arg(2048)->Arg(8192);
 
 void BM_KMeans(benchmark::State& state) {
+  SetNumThreads(g_start_threads);
   Graph g = BenchGraph(4096);
   Matrix r = RawAggregation(g, 2);
   KMeansOptions opts;
@@ -243,6 +262,7 @@ void BM_KMeans(benchmark::State& state) {
 BENCHMARK(BM_KMeans)->Arg(30)->Arg(120);
 
 void BM_SelectCoreset(benchmark::State& state) {
+  SetNumThreads(g_start_threads);
   Graph g = BenchGraph(4096);
   Matrix r = RawAggregation(g, 2);
   SelectorConfig cfg;
@@ -256,6 +276,7 @@ void BM_SelectCoreset(benchmark::State& state) {
 BENCHMARK(BM_SelectCoreset)->Arg(128)->Arg(512)->Arg(1638);
 
 void BM_GlobalViewGeneration(benchmark::State& state) {
+  SetNumThreads(g_start_threads);
   Graph g = BenchGraph(state.range(0));
   ViewGenerator gen(g);
   ViewConfig cfg{.tau = 0.8f, .eta = 0.4f};
@@ -267,6 +288,7 @@ void BM_GlobalViewGeneration(benchmark::State& state) {
 BENCHMARK(BM_GlobalViewGeneration)->Arg(2048)->Arg(8192);
 
 void BM_PerNodeViewGeneration(benchmark::State& state) {
+  SetNumThreads(g_start_threads);
   Graph g = BenchGraph(4096);
   ViewGenerator gen(g);
   ViewConfig cfg{.tau = 0.8f, .eta = 0.4f};
@@ -280,6 +302,103 @@ void BM_PerNodeViewGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PerNodeViewGeneration);
+
+// The serving TopK scan: 20,000 x 64 rows, as many as the arxiv stand-in
+// serves, 2 queries (rows of the table, excluded from their own
+// answers), k = 10. `hubs`: every 100th row is 10x longer, as the
+// largest rows of a trained model stand out. `flat`: every row has norm
+// 1, so the bound prunes nothing and the ordered scan reads every row.
+constexpr std::int64_t kTopKRows = 20000;
+constexpr std::int64_t kTopKQueries[] = {17, 4242};
+constexpr std::int64_t kTopK = 10;
+
+Matrix TopKTable(bool flat) {
+  Rng rng(7);
+  Matrix z = Matrix::RandomNormal(kTopKRows, 64, 0, 1, rng);
+  for (std::int64_t v = 0; v < z.rows(); ++v) {
+    const float scale =
+        flat ? static_cast<float>(
+                   1.0 / std::sqrt(simd::SquaredNormD(z.RowPtr(v), z.cols())))
+             : (v % 100 == 0 ? 10.0f : 1.0f);
+    simd::Scale(z.RowPtr(v), scale, z.cols());
+  }
+  return z;
+}
+
+Matrix TopKQueries(const Matrix& z) {
+  Matrix queries(std::size(kTopKQueries), z.cols());
+  for (std::size_t q = 0; q < std::size(kTopKQueries); ++q) {
+    std::copy(z.RowPtr(kTopKQueries[q]), z.RowPtr(kTopKQueries[q]) + z.cols(),
+              queries.RowPtr(static_cast<std::int64_t>(q)));
+  }
+  return queries;
+}
+
+std::vector<TopKSelector> TopKSelectors() {
+  std::vector<TopKSelector> best;
+  for (const std::int64_t node : kTopKQueries) best.emplace_back(kTopK, node);
+  return best;
+}
+
+void BM_TopKScan(benchmark::State& state, bool flat) {
+  SetNumThreads(g_start_threads);
+  Matrix z = TopKTable(flat);
+  const Matrix queries = TopKQueries(z);
+  const NormOrder order = SortRowsByNorm(&z);
+  std::int64_t scored = 0;
+  for (auto _ : state) {
+    std::vector<TopKSelector> best = TopKSelectors();
+    scored = ScanNormOrdered(z, order, queries, &best);
+    for (TopKSelector& b : best) benchmark::DoNotOptimize(b.Take());
+  }
+  state.counters["size"] = kTopKRows;
+  state.counters["rows_scored"] = static_cast<double>(scored);
+}
+BENCHMARK_CAPTURE(BM_TopKScan, hubs, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_TopKScan, flat, true)->UseRealTime();
+
+/// The id-order slab scan the norm-ordered scan replaced, verbatim.
+void ReferenceSlabScan(const Matrix& z, const Matrix& queries,
+                       std::vector<TopKSelector>* best) {
+  constexpr std::int64_t kSlabRows = 4096;
+  const std::int64_t n = z.rows();
+  const std::int64_t d = queries.cols();
+  const std::int64_t b = queries.rows();
+  const std::int64_t grain = GrainForCost(d);
+  std::vector<float> slab(
+      static_cast<std::size_t>(b * std::min(kSlabRows, n)));
+  for (std::int64_t s0 = 0; s0 < n; s0 += kSlabRows) {
+    const std::int64_t s1 = std::min(n, s0 + kSlabRows);
+    ParallelFor(s0, s1, grain, [&](std::int64_t rb, std::int64_t re) {
+      float* out = slab.data() + b * (rb - s0);
+      simd::GemmTransBRows(queries.data(), z.RowPtr(rb), out, 0, b, d,
+                           re - rb);
+    });
+    // ParallelFor's chunks start at s0, every `grain` rows.
+    for (std::int64_t c0 = s0; c0 < s1; c0 += grain) {
+      const std::int64_t rows = std::min(s1, c0 + grain) - c0;
+      const float* chunk = slab.data() + b * (c0 - s0);
+      for (std::int64_t q = 0; q < b; ++q) {
+        (*best)[static_cast<std::size_t>(q)].OfferRun(chunk + q * rows, c0,
+                                                      rows);
+      }
+    }
+  }
+}
+
+void BM_TopKScanReference(benchmark::State& state, bool flat) {
+  SetNumThreads(g_start_threads);
+  const Matrix z = TopKTable(flat);
+  const Matrix queries = TopKQueries(z);
+  for (auto _ : state) {
+    std::vector<TopKSelector> best = TopKSelectors();
+    ReferenceSlabScan(z, queries, &best);
+    for (TopKSelector& b : best) benchmark::DoNotOptimize(b.Take());
+  }
+  state.counters["size"] = kTopKRows;
+}
+BENCHMARK_CAPTURE(BM_TopKScanReference, hubs, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_TopKScanReference, flat, true)->UseRealTime();
 
 // --------------------------------------------------------------------------
 // JSON emission: tee every finished run into BENCH_kernels.json.
@@ -361,6 +480,7 @@ void WriteJson(const std::vector<RunRecord>& records, const char* path) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  e2gcl::g_start_threads = e2gcl::GetNumThreads();
   e2gcl::JsonTeeReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   const char* path = std::getenv("E2GCL_BENCH_JSON");

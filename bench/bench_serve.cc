@@ -1,7 +1,10 @@
 // Serving-path micro-benchmark: GetEmbedding throughput and latency
 // through the micro-batching queue, swept over compute thread count and
 // batch size, for both cache-cold (lazy, evicting) and cache-hot
-// regimes plus the precompute mode.
+// regimes plus the precompute mode; and TopKSimilar on the exact fp32
+// path (the norm-ordered scan, which stops a query once no unscanned
+// row can enter its answer) against the int8 scan with and without its
+// exact rescore, which read every row.
 //
 // Writes BENCH_serve.json, an array of the serve_bench.h records, which
 // tools/check_perf.sh's serve suite gates at a 50% bound over 10

@@ -10,7 +10,8 @@
 // "host:port" to aim the client fleet at an already-running
 // `e2gcl_serve --listen` instead — the records then measure that
 // server's configuration (tools/check_perf.sh's net suite starts one
-// per run from each side's own build).
+// per run from each side's own build), and query ids are drawn from
+// the node count the server reports in its stats.
 //
 // Writes the serve_bench.h records to E2GCL_BENCH_JSON (default
 // BENCH_serve_net.json).
@@ -24,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "io/json.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "serve/embedding_server.h"
@@ -100,6 +102,30 @@ std::vector<double> DriveNetClients(const std::string& host, int port,
   return all;
 }
 
+/// |V| of the server at host:port, from its stats JSON; 0 on failure.
+std::int64_t ServedNodeCount(const std::string& host, int port) {
+  std::string error;
+  auto client =
+      net::NetClient::Connect(host, port, net::NetClientOptions{}, &error);
+  net::StatsResponse stats;
+  JsonValue json;
+  if (client == nullptr) {
+    std::fprintf(stderr, "bench_serve_net: connect: %s\n", error.c_str());
+    return 0;
+  }
+  if (!client->Stats(&stats)) {
+    std::fprintf(stderr, "bench_serve_net: stats: %s\n",
+                 client->last_error().c_str());
+    return 0;
+  }
+  if (!ParseJson(stats.json, &json, &error)) {
+    std::fprintf(stderr, "bench_serve_net: stats: %s\n", error.c_str());
+    return 0;
+  }
+  const JsonValue* num_nodes = json.Find("num_nodes");
+  return num_nodes != nullptr ? num_nodes->AsInt() : 0;
+}
+
 BenchRecord RunScenario(const std::string& host, int port,
                         const std::string& name, Op op, int threads,
                         std::int64_t num_nodes) {
@@ -123,11 +149,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const Graph g = BenchGraph();
-
-  // Self-host unless E2GCL_NET_TARGET says otherwise.
+  // Self-host unless E2GCL_NET_TARGET says otherwise. The graph outlives
+  // the server that serves it.
   std::string host = "127.0.0.1";
   int port = 0;
+  std::int64_t num_nodes = 0;
+  Graph g;
   std::unique_ptr<EmbeddingServer> server;
   std::unique_ptr<net::NetServer> netsrv;
   const char* target = std::getenv("E2GCL_NET_TARGET");
@@ -141,7 +168,15 @@ int main(int argc, char** argv) {
     }
     host = spec.substr(0, colon);
     port = std::atoi(spec.c_str() + colon + 1);
+    num_nodes = ServedNodeCount(host, port);
+    if (num_nodes <= 0) {
+      std::fprintf(stderr, "bench_serve_net: no node count from %s\n",
+                   target);
+      return 1;
+    }
   } else {
+    g = BenchGraph();
+    num_nodes = g.num_nodes;
     const TrainerCheckpoint ckpt = BenchCheckpoint(g);
     ServeOptions options;
     options.precompute = true;  // measure the wire, not the encoder
@@ -175,7 +210,7 @@ int main(int argc, char** argv) {
   };
   for (const auto& s : kScenarios) {
     records.push_back(
-        RunScenario(host, port, s.name, s.op, s.threads, g.num_nodes));
+        RunScenario(host, port, s.name, s.op, s.threads, num_nodes));
     PrintRecord(records.back());
   }
 

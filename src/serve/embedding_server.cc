@@ -10,6 +10,7 @@
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "tensor/check.h"
+#include "tensor/kernel_bounds.h"
 #include "tensor/simd/simd.h"
 
 namespace e2gcl {
@@ -35,14 +36,17 @@ void RecordBatchMetrics(std::int64_t size) {
   batch_size.Record(size);
 }
 
-/// One table pass serves every TopK request of a batch.
-void RecordTopKScan(std::int64_t queries) {
+/// One table pass serves every TopK request of a batch; `rows_scored`
+/// sums the rows it scored over the queries.
+void RecordTopKScan(std::int64_t queries, std::int64_t rows_scored) {
   if (!ObsEnabled()) return;
   static const Counter scans = Counter::Get("serve.topk.scans");
   static const Histogram queries_per_scan = Histogram::Get(
       "serve.topk.queries_per_scan", {1, 2, 4, 8, 16, 32, 64});
+  static const Counter rows = Counter::Get("serve.topk.rows_scored");
   scans.Increment();
   queries_per_scan.Record(queries);
+  rows.Add(static_cast<std::uint64_t>(rows_scored));
 }
 
 void RecordCacheMetrics(std::int64_t hits, std::int64_t misses) {
@@ -117,6 +121,48 @@ void UpdateGenerationGauge(std::uint64_t gen) {
 /// Rows of the table scored per step of a TopK scan. The score buffer
 /// is (TopK requests in the batch) x kSlabRows, whatever |V| is.
 constexpr std::int64_t kSlabRows = 4096;
+/// The norm-ordered scan's first block, doubled per block up to
+/// kSlabRows: a query whose answer sits among the largest rows stops
+/// after a few small blocks, and a scan that prunes nothing soon moves
+/// in full slabs.
+constexpr std::int64_t kFirstBlockRows = 64;
+
+/// The int8 scan, in node order: fixed slabs of rows bound the score
+/// buffer, and each query's selector carries across them. A slab's row
+/// chunks are scored in parallel, every score into its own slot: chunk
+/// c's b x rows block starts at b * (its first row - s0).
+void ScanQuantized(const QuantizedEmbeddingTable& table, const Matrix& queries,
+                   std::vector<TopKSelector>* best) {
+  const std::int64_t n = table.rows();
+  const std::int64_t d = queries.cols();
+  const std::int64_t b = queries.rows();
+  std::vector<std::int8_t> codes(static_cast<std::size_t>(b * d));
+  std::vector<float> query_scales;
+  std::vector<std::int8_t> one;
+  for (std::int64_t q = 0; q < b; ++q) {
+    query_scales.push_back(table.QuantizeQuery(queries.RowPtr(q), &one));
+    std::copy(one.begin(), one.end(), codes.begin() + q * d);
+  }
+  const std::int64_t grain = GrainForCost(d);
+  std::vector<float> slab(
+      static_cast<std::size_t>(b * std::min(kSlabRows, n)));
+  for (std::int64_t s0 = 0; s0 < n; s0 += kSlabRows) {
+    const std::int64_t s1 = std::min(n, s0 + kSlabRows);
+    ParallelFor(s0, s1, grain, [&](std::int64_t rb, std::int64_t re) {
+      table.ScoreRows(codes.data(), query_scales.data(), b, rb, re,
+                      slab.data() + b * (rb - s0));
+    });
+    // ParallelFor's chunks start at s0, every `grain` rows.
+    for (std::int64_t c0 = s0; c0 < s1; c0 += grain) {
+      const std::int64_t rows = std::min(s1, c0 + grain) - c0;
+      const float* chunk = slab.data() + b * (c0 - s0);
+      for (std::int64_t q = 0; q < b; ++q) {
+        (*best)[static_cast<std::size_t>(q)].OfferRun(chunk + q * rows, c0,
+                                                      rows);
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -155,11 +201,12 @@ void TopKSelector::Offer(float score, std::int64_t node) {
   heap_[i] = entry;
 }
 
-void TopKSelector::OfferRun(const float* scores, std::int64_t first,
-                            std::int64_t count) {
+template <typename NodeOf>
+void TopKSelector::OfferEach(const float* scores, std::int64_t count,
+                             NodeOf node_of) {
   std::int64_t i = 0;
   for (; i < count && static_cast<std::int64_t>(heap_.size()) < k_; ++i) {
-    Offer(scores[i], first + i);
+    Offer(scores[i], node_of(i));
   }
   if (i == count || k_ == 0) return;
   // Full: a candidate scoring below the worst kept one loses on one
@@ -167,9 +214,28 @@ void TopKSelector::OfferRun(const float* scores, std::int64_t first,
   float worst = heap_.front().key;
   for (; i < count; ++i) {
     if (scores[i] < worst) continue;
-    Offer(scores[i], first + i);
+    Offer(scores[i], node_of(i));
     worst = heap_.front().key;
   }
+}
+
+void TopKSelector::OfferRun(const float* scores, std::int64_t first,
+                            std::int64_t count) {
+  OfferEach(scores, count, [first](std::int64_t i) { return first + i; });
+}
+
+void TopKSelector::OfferRows(const float* scores, const std::int32_t* ids,
+                             std::int64_t count) {
+  OfferEach(scores, count,
+            [ids](std::int64_t i) { return std::int64_t{ids[i]}; });
+}
+
+bool TopKSelector::Excludes(double bound) const {
+  if (k_ == 0) return true;
+  if (static_cast<std::int64_t>(heap_.size()) < k_) return false;
+  // A kept +infinity could tie an unscanned row whose dot overflows.
+  const float worst = heap_.front().key;
+  return worst <= std::numeric_limits<float>::max() && bound < worst;
 }
 
 TopKResult TopKSelector::Take() {
@@ -184,6 +250,74 @@ TopKResult TopKSelector::Take() {
   }
   heap_.clear();
   return top;
+}
+
+std::int64_t ScanNormOrdered(const Matrix& table, const NormOrder& order,
+                             const Matrix& queries,
+                             std::vector<TopKSelector>* best) {
+  const std::int64_t n = table.rows();
+  const std::int64_t d = table.cols();
+  const std::int64_t b = queries.rows();
+  E2GCL_CHECK(queries.cols() == d);
+  E2GCL_CHECK(static_cast<std::int64_t>(order.ids.size()) == n &&
+              static_cast<std::int64_t>(order.norms.size()) == n);
+  E2GCL_CHECK(static_cast<std::int64_t>(best->size()) == b);
+  // A query's own norm comes from the function that gave the stored
+  // norms, so it is the stored norm of its row.
+  const KernelDotBound bound(d);
+  std::vector<float> query_norm(static_cast<std::size_t>(b));
+  std::vector<std::int64_t> active;
+  for (std::int64_t q = 0; q < b; ++q) {
+    query_norm[static_cast<std::size_t>(q)] =
+        KernelDotBound::NormUpper(queries.RowPtr(q), d);
+    active.push_back(q);
+  }
+  // The active queries' rows, packed as the A operand, and the scores of
+  // one block: chunk c's a x rows scores start at a * (its first row -
+  // r0), as in the id-order slab scan.
+  std::vector<float> packed;
+  std::vector<float> scores(
+      static_cast<std::size_t>(b * std::min(kSlabRows, n)));
+  const std::int64_t grain = GrainForCost(d);
+  std::int64_t scored = 0;
+  std::int64_t block = kFirstBlockRows;
+  for (std::int64_t r0 = 0;;) {
+    // Retire every query that no row from r0 on can enter: norms[r0]
+    // bounds the norm of every unscanned row.
+    std::erase_if(active, [&](std::int64_t q) {
+      return r0 == n ||
+             (*best)[static_cast<std::size_t>(q)].Excludes(bound.Upper(
+                 query_norm[static_cast<std::size_t>(q)],
+                 order.norms[static_cast<std::size_t>(r0)]));
+    });
+    if (active.empty()) break;
+    const std::int64_t a = static_cast<std::int64_t>(active.size());
+    if (static_cast<std::int64_t>(packed.size()) != a * d) {
+      packed.resize(static_cast<std::size_t>(a * d));
+      for (std::int64_t i = 0; i < a; ++i) {
+        const float* row = queries.RowPtr(active[static_cast<std::size_t>(i)]);
+        std::copy(row, row + d, packed.begin() + i * d);
+      }
+    }
+    const std::int64_t r1 = std::min(n, r0 + block);
+    ParallelFor(r0, r1, grain, [&](std::int64_t rb, std::int64_t re) {
+      simd::GemmTransBRows(packed.data(), table.RowPtr(rb),
+                           scores.data() + a * (rb - r0), 0, a, d, re - rb);
+    });
+    // ParallelFor's chunks start at r0, every `grain` rows.
+    for (std::int64_t c0 = r0; c0 < r1; c0 += grain) {
+      const std::int64_t rows = std::min(r1, c0 + grain) - c0;
+      const float* chunk = scores.data() + a * (c0 - r0);
+      for (std::int64_t i = 0; i < a; ++i) {
+        (*best)[static_cast<std::size_t>(active[static_cast<std::size_t>(i)])]
+            .OfferRows(chunk + i * rows, order.ids.data() + c0, rows);
+      }
+    }
+    scored += a * (r1 - r0);
+    r0 = r1;
+    block = std::min(2 * block, kSlabRows);
+  }
+  return scored;
 }
 
 struct EmbeddingServer::Request {
@@ -625,21 +759,9 @@ void EmbeddingServer::ServeTopK(ModelState& state,
   // scores, and its answer, do not depend on its batch-mates.
   const QuantizedEmbeddingTable& table = state.quantized;
   const bool quantized = !table.empty();
-  const Matrix* z = quantized ? nullptr : &FullEmbeddings(state);
-  const std::int64_t n = quantized ? table.rows() : z->rows();
+  const std::int64_t n = graph_->num_nodes;
   const std::int64_t d = queries.cols();
   const std::int64_t b = queries.rows();
-  RecordTopKScan(b);
-  std::vector<std::int8_t> codes;
-  std::vector<float> query_scales;
-  if (quantized) {
-    codes.resize(static_cast<std::size_t>(b * d));
-    std::vector<std::int8_t> one;
-    for (std::int64_t q = 0; q < b; ++q) {
-      query_scales.push_back(table.QuantizeQuery(queries.RowPtr(q), &one));
-      std::copy(one.begin(), one.end(), codes.begin() + q * d);
-    }
-  }
   // The fp32 scan is exact. The int8 scan answers directly when the
   // rescore is off (rescore_factor == 0) or skipped under load (a
   // degraded request); otherwise it only picks k * rescore_factor
@@ -660,33 +782,12 @@ void EmbeddingServer::ServeTopK(ModelState& state,
         !rescored(r) ? k : (k > (n - 1) / f ? n - 1 : k * f);
     best.emplace_back(keep, r->a);
   }
-  // Fixed slabs of rows bound the score buffer, and each query's
-  // selector carries across them. A slab's row chunks are scored in
-  // parallel, every score into its own slot: chunk c's b x rows block
-  // starts at b * (its first row - s0).
-  const std::int64_t grain = GrainForCost(d);
-  std::vector<float> slab(
-      static_cast<std::size_t>(b * std::min(kSlabRows, n)));
-  for (std::int64_t s0 = 0; s0 < n; s0 += kSlabRows) {
-    const std::int64_t s1 = std::min(n, s0 + kSlabRows);
-    ParallelFor(s0, s1, grain, [&](std::int64_t rb, std::int64_t re) {
-      float* out = slab.data() + b * (rb - s0);
-      if (quantized) {
-        table.ScoreRows(codes.data(), query_scales.data(), b, rb, re, out);
-      } else {
-        simd::GemmTransBRows(queries.data(), z->RowPtr(rb), out, 0, b, d,
-                             re - rb);
-      }
-    });
-    // ParallelFor's chunks start at s0, every `grain` rows.
-    for (std::int64_t c0 = s0; c0 < s1; c0 += grain) {
-      const std::int64_t rows = std::min(s1, c0 + grain) - c0;
-      const float* chunk = slab.data() + b * (c0 - s0);
-      for (std::int64_t q = 0; q < b; ++q) {
-        best[static_cast<std::size_t>(q)].OfferRun(chunk + q * rows, c0,
-                                                   rows);
-      }
-    }
+  if (quantized) {
+    ScanQuantized(table, queries, &best);
+    RecordTopKScan(b, b * n);
+  } else {
+    const Matrix& z = SortedEmbeddings(state);
+    RecordTopKScan(b, ScanNormOrdered(z, state.order, queries, &best));
   }
   for (std::int64_t q = 0; q < b; ++q) {
     Request* r = batch[static_cast<std::size_t>(q)];
@@ -720,8 +821,12 @@ std::vector<std::vector<float>> EmbeddingServer::FetchRows(
     ModelState& state, const std::vector<std::int64_t>& nodes) {
   std::vector<std::vector<float>> rows(nodes.size());
   if (options_.precompute) {
+    // Once the first fp32 TopK has sorted the table, node v's row moved.
+    const bool sorted = !state.row_of.empty();
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const float* r = state.full.RowPtr(nodes[i]);
+      const float* r = state.full.RowPtr(
+          sorted ? state.row_of[static_cast<std::size_t>(nodes[i])]
+                 : nodes[i]);
       rows[i].assign(r, r + state.full.cols());
     }
     return rows;
@@ -759,12 +864,23 @@ std::vector<std::vector<float>> EmbeddingServer::FetchRows(
   return rows;
 }
 
-const Matrix& EmbeddingServer::FullEmbeddings(ModelState& state) {
+const Matrix& EmbeddingServer::SortedEmbeddings(ModelState& state) {
   // Precomputed at generation build time, or materialized by the
-  // flusher on the first fp32 TopK; only the flusher thread reaches
-  // this path afterwards, so no lock is needed.
+  // flusher on the first fp32 TopK, and sorted then, once per
+  // generation: a lookup-only server never pays for either. Only the
+  // flusher thread reads or writes these members, so no lock is needed.
   if (state.full.rows() == 0) {
     state.full = state.encoder->Encode(*graph_);
+  }
+  if (state.order.ids.empty()) {
+    state.order = SortRowsByNorm(&state.full);
+    if (options_.precompute) {
+      state.row_of.resize(state.order.ids.size());
+      for (std::size_t r = 0; r < state.order.ids.size(); ++r) {
+        state.row_of[static_cast<std::size_t>(state.order.ids[r])] =
+            static_cast<std::int32_t>(r);
+      }
+    }
   }
   return state.full;
 }

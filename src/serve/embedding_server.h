@@ -88,6 +88,16 @@ class TopKSelector {
   /// Offers nodes first, first + 1, ..., first + count - 1 with
   /// scores[0], ..., scores[count - 1].
   void OfferRun(const float* scores, std::int64_t first, std::int64_t count);
+  /// Offers nodes ids[0], ..., ids[count - 1] with scores[0], ...,
+  /// scores[count - 1].
+  void OfferRows(const float* scores, const std::int32_t* ids,
+                 std::int64_t count);
+
+  /// True iff no candidate scoring at most `bound` can enter: k
+  /// candidates are kept and `bound` is strictly below the worst kept
+  /// score, which is finite. Always true for k = 0. Strict, so a tie with
+  /// the worst kept score, which the node id decides, never excludes.
+  bool Excludes(double bound) const;
 
   /// The kept candidates, best first. Leaves the selector empty.
   TopKResult Take();
@@ -100,12 +110,29 @@ class TopKSelector {
   };
   /// True iff `a` ranks before `b`.
   static bool Before(const Entry& a, const Entry& b);
+  /// Offers node_of(i) with scores[i] for i in [0, count).
+  template <typename NodeOf>
+  void OfferEach(const float* scores, std::int64_t count, NodeOf node_of);
 
   std::int64_t k_;
   std::int64_t exclude_;
   /// A heap under Before: front() is the worst kept candidate.
   std::vector<Entry> heap_;
 };
+
+/// The exact fp32 TopK scan: scores every query row of `queries` against
+/// `table`, whose rows SortRowsByNorm put in `order`, and offers each
+/// score to the query's selector in `*best`. Rows are visited in norm
+/// order in blocks of 64 rows, doubling up to 4,096, each block's row
+/// chunks in parallel; only the queries still scanning are scored. A
+/// query stops once its selector Excludes the KernelDotBound of its own
+/// norm and the next row's, which bounds every row after it: no
+/// unscanned row can then enter its answer, so the answer equals a full
+/// scan's byte for byte (every score is Dot(query, row) bit for bit,
+/// wherever the row sits). Returns the rows scored, summed over queries.
+std::int64_t ScanNormOrdered(const Matrix& table, const NormOrder& order,
+                             const Matrix& queries,
+                             std::vector<TopKSelector>* best);
 
 /// Serves frozen-encoder embedding queries over one graph + checkpoint.
 ///
@@ -276,13 +303,15 @@ class EmbeddingServer {
   /// or precomputed, depending on the mode.
   std::vector<std::vector<float>> FetchRows(
       ModelState& state, const std::vector<std::int64_t>& nodes);
-  /// The generation's full |V| x d embedding matrix (precomputed, or
-  /// materialized on first fp32 TopK in lazy mode).
-  const Matrix& FullEmbeddings(ModelState& state);
+  /// The generation's full |V| x d embedding matrix in norm order
+  /// (precomputed, or materialized on the first fp32 TopK in lazy mode;
+  /// sorted in place on the first fp32 TopK in either mode).
+  const Matrix& SortedEmbeddings(ModelState& state);
   /// Serves a batch's TopK requests, whose query rows are `queries`
-  /// (row q for batch[q]), in one pass over the table: the fp32 scan,
-  /// or the int8 scan with an exact rescore of each candidate pool
-  /// (skipped when rescore_factor is 0 or the request is degraded).
+  /// (row q for batch[q]), in one pass over the table: the norm-ordered
+  /// fp32 scan, or the int8 scan in node order with an exact rescore of
+  /// each candidate pool (skipped when rescore_factor is 0 or the
+  /// request is degraded).
   void ServeTopK(ModelState& state, const std::vector<Request*>& batch,
                  const Matrix& queries);
 

@@ -1,11 +1,65 @@
 #include "serve/reload.h"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "serve/embedding_server.h"
+#include "tensor/check.h"
+#include "tensor/kernel_bounds.h"
 
 namespace e2gcl {
+
+NormOrder SortRowsByNorm(Matrix* table) {
+  const std::int64_t n = table->rows();
+  const std::int64_t d = table->cols();
+  E2GCL_CHECK(n <= std::numeric_limits<std::int32_t>::max());
+  struct Key {
+    float norm;
+    std::int32_t id;
+  };
+  std::vector<Key> keys(static_cast<std::size_t>(n));
+  for (std::int64_t v = 0; v < n; ++v) {
+    keys[static_cast<std::size_t>(v)] = {
+        KernelDotBound::NormUpper(table->RowPtr(v), d),
+        static_cast<std::int32_t>(v)};
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return a.norm != b.norm ? a.norm > b.norm : a.id < b.id;
+  });
+  NormOrder order;
+  order.ids.reserve(keys.size());
+  order.norms.reserve(keys.size());
+  for (const Key& key : keys) {
+    order.ids.push_back(key.id);
+    order.norms.push_back(key.norm);
+  }
+  keys = {};
+  // Row r takes the row of node ids[r]. Each cycle of the permutation
+  // holds its first row aside; every other row is read before it is
+  // overwritten, because the walk overwrites a row only after copying
+  // the one it came from.
+  std::vector<float> held(static_cast<std::size_t>(d));
+  std::vector<bool> placed(static_cast<std::size_t>(n), false);
+  for (std::int64_t start = 0; start < n; ++start) {
+    if (placed[static_cast<std::size_t>(start)]) continue;
+    if (order.ids[static_cast<std::size_t>(start)] == start) continue;
+    std::copy(table->RowPtr(start), table->RowPtr(start) + d, held.begin());
+    for (std::int64_t r = start;;) {
+      placed[static_cast<std::size_t>(r)] = true;
+      const std::int64_t from = order.ids[static_cast<std::size_t>(r)];
+      if (from == start) {
+        std::copy(held.begin(), held.end(), table->RowPtr(r));
+        break;
+      }
+      std::copy(table->RowPtr(from), table->RowPtr(from) + d,
+                table->RowPtr(r));
+      r = from;
+    }
+  }
+  return order;
+}
 
 std::shared_ptr<ModelState> BuildModelState(const Graph& graph,
                                             const TrainerCheckpoint& ckpt,

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "graph/graph.h"
 #include "io/checkpoint.h"
@@ -16,6 +17,23 @@ namespace e2gcl {
 
 struct ServeOptions;  // embedding_server.h (which includes this header)
 
+/// The row order of a table sorted by descending norm, ties by
+/// ascending id: the order the exact TopK scan visits rows in, so that
+/// the norm of the next unscanned row bounds every row after it.
+struct NormOrder {
+  /// ids[r]: the node whose row sits at row r of the sorted table.
+  std::vector<std::int32_t> ids;
+  /// norms[r]: KernelDotBound::NormUpper of row r, an upper bound on its
+  /// exact norm; non-increasing in r.
+  std::vector<float> norms;
+};
+
+/// Sorts the rows of `table` in place by descending NormUpper, ties by
+/// ascending row index, and returns the order. The rows move along the
+/// permutation's cycles through one row of scratch, so no second table
+/// is ever resident. Rows are finite; a NaN row sorts first.
+NormOrder SortRowsByNorm(Matrix* table);
+
 /// One immutable-once-published model generation: everything whose
 /// contents depend on the checkpoint weights. The EmbeddingServer holds
 /// the current generation behind a `shared_ptr` and swaps it RCU-style
@@ -26,8 +44,9 @@ struct ServeOptions;  // embedding_server.h (which includes this header)
 /// from a cold cache rather than risking rows encoded by older weights.
 ///
 /// Mutability after publication is confined to single-writer members:
-/// `cache` is internally synchronized, and `full` is written only by
-/// the flusher thread (lazy-mode first-TopK materialization). There is
+/// `cache` is internally synchronized, and `full`, `order` and `row_of`
+/// are written only by the flusher thread (the first fp32 TopK
+/// materializes `full` in lazy mode and sorts it in either mode). There is
 /// deliberately no mutex here — the EmbeddingServer's annotated mu_
 /// (see core/thread_annotations.h and DESIGN.md "Concurrency
 /// discipline") guards only the *pointer* to the current generation;
@@ -43,8 +62,15 @@ struct ModelState {
   std::unique_ptr<ShardedRowCache> cache;
   /// Full |V| x d embedding matrix; rows() == 0 until materialized
   /// (at build time in precompute mode, by the flusher on the first
-  /// fp32 TopK in lazy mode).
+  /// fp32 TopK in lazy mode). Rows are in node order until the first
+  /// fp32 TopK sorts them by norm, and in `order` after.
   Matrix full;
+  /// The order of `full`'s rows once sorted; empty until then.
+  NormOrder order;
+  /// Precompute mode, once `full` is sorted: row_of[v] is the row of
+  /// `full` holding node v. Empty otherwise; lazy mode reads `full` only
+  /// to scan it.
+  std::vector<std::int32_t> row_of;
   /// Int8 table (empty unless ServeOptions::quantize_int8).
   QuantizedEmbeddingTable quantized;
 };

@@ -281,17 +281,24 @@ bool GraphStore::LoadInducedSubgraph(const std::vector<std::int64_t>& nodes,
   std::vector<std::int64_t> offsets;
   if (!GatherAdjacency(nodes, &cols, &offsets)) return false;
 
-  // Keep edges whose endpoints are both in `nodes`; binary search gives
-  // the local id directly (same membership rule as InducedSubgraph, so
-  // the resulting CSR is bit-identical to the resident-path one).
+  // Keep edges whose endpoints are both in `nodes`; a node -> local id
+  // table (-1 outside the ball, freed before the features are read)
+  // gives the local id in one read (same membership rule as
+  // InducedSubgraph, so the resulting CSR is bit-identical to the
+  // resident-path one).
   std::vector<std::pair<std::int64_t, std::int64_t>> edges;
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-      const std::int64_t u = cols[e];
-      const auto it = std::lower_bound(nodes.begin(), nodes.end(), u);
-      if (it == nodes.end() || *it != u) continue;
-      const std::int64_t j = it - nodes.begin();
-      if (j > i) edges.emplace_back(i, j);
+  {
+    std::vector<std::int32_t> local(static_cast<std::size_t>(num_nodes_), -1);
+    for (std::int64_t i = 0; i < m; ++i) {
+      local[static_cast<std::size_t>(nodes[i])] = static_cast<std::int32_t>(i);
+    }
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+        const std::int32_t u = cols[e];
+        if (u < 0 || u >= num_nodes_) continue;  // in no ball
+        const std::int64_t j = local[static_cast<std::size_t>(u)];
+        if (j > i) edges.emplace_back(i, j);
+      }
     }
   }
   Matrix feats;

@@ -666,6 +666,27 @@ TEST_F(NetProtocolTest, HttpMetricsPromFormatRoundTrips) {
   EXPECT_GE(samples, 2);
 }
 
+TEST_F(NetProtocolTest, HttpMetricsCarryTopKRowsScored) {
+  StartServer();
+  ServeRequestOptions exact;
+  exact.allow_degraded = false;
+  ASSERT_EQ(server_->TopKSimilar(3, 5, exact).status, ServeStatus::kOk);
+  RawSock json(port());
+  ASSERT_TRUE(json.connected());
+  ASSERT_TRUE(json.SendAll("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"));
+  const std::string json_body = json.RecvUntilClose();
+  EXPECT_NE(json_body.find("\"serve.topk.rows_scored\":"), std::string::npos)
+      << json_body;
+  RawSock prom(port());
+  ASSERT_TRUE(prom.connected());
+  ASSERT_TRUE(
+      prom.SendAll("GET /metrics?format=prom HTTP/1.1\r\nHost: x\r\n\r\n"));
+  const std::string prom_body = prom.RecvUntilClose();
+  EXPECT_NE(prom_body.find("# TYPE e2gcl_serve_topk_rows_scored counter"),
+            std::string::npos)
+      << prom_body;
+}
+
 TEST_F(NetProtocolTest, OversizedHttpHeadersGet400) {
   StartServer();
   RawSock sock(port());

@@ -1,7 +1,9 @@
 // Embedding-serving layer: bit-identity across {cold, cached} x {solo,
-// batched} x thread counts, LRU cache semantics, deadline/size batch
-// flushing, checkpoint validation, and concurrent-client correctness
-// (the latter is the TSAN target registered in check_sanitizers.sh).
+// batched} x thread counts, the norm-ordered TopK scan against the
+// id-order slab scan it replaced, LRU cache semantics, deadline/size
+// batch flushing, checkpoint validation, and concurrent-client
+// correctness (the latter is the TSAN target registered in
+// check_sanitizers.sh).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -21,14 +23,17 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "graph/graph.h"
 #include "io/checkpoint.h"
 #include "nn/gcn.h"
 #include "obs/metrics.h"
+#include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "serve/embedding_server.h"
 #include "serve/lru_cache.h"
 #include "serve/quantized_table.h"
 #include "serve_test_util.h"
+#include "tensor/kernel_bounds.h"
 #include "tensor/simd/simd.h"
 
 namespace e2gcl {
@@ -914,6 +919,593 @@ TEST(EmbeddingServer, RecordsOneTopKScanPerBatch) {
   EXPECT_EQ(hist->bounds, (std::vector<std::int64_t>{1, 2, 4, 8, 16, 32, 64}));
   EXPECT_EQ(hist->total, 1u);
   EXPECT_EQ(hist->counts[2], 1u);  // 3 queries: the (2, 4] bucket
+}
+
+// --- The norm-ordered exact scan. -------------------------------------------
+
+/// The id-order slab scan the norm-ordered scan replaced, verbatim: the
+/// reference every ordered answer must equal byte for byte.
+void ReferenceSlabScan(const Matrix& z, const Matrix& queries,
+                       std::vector<TopKSelector>* best) {
+  constexpr std::int64_t kSlabRows = 4096;
+  const std::int64_t n = z.rows();
+  const std::int64_t d = queries.cols();
+  const std::int64_t b = queries.rows();
+  const std::int64_t grain = GrainForCost(d);
+  std::vector<float> slab(
+      static_cast<std::size_t>(b * std::min(kSlabRows, n)));
+  for (std::int64_t s0 = 0; s0 < n; s0 += kSlabRows) {
+    const std::int64_t s1 = std::min(n, s0 + kSlabRows);
+    ParallelFor(s0, s1, grain, [&](std::int64_t rb, std::int64_t re) {
+      float* out = slab.data() + b * (rb - s0);
+      simd::GemmTransBRows(queries.data(), z.RowPtr(rb), out, 0, b, d,
+                           re - rb);
+    });
+    // ParallelFor's chunks start at s0, every `grain` rows.
+    for (std::int64_t c0 = s0; c0 < s1; c0 += grain) {
+      const std::int64_t rows = std::min(s1, c0 + grain) - c0;
+      const float* chunk = slab.data() + b * (c0 - s0);
+      for (std::int64_t q = 0; q < b; ++q) {
+        (*best)[static_cast<std::size_t>(q)].OfferRun(chunk + q * rows, c0,
+                                                      rows);
+      }
+    }
+  }
+}
+
+/// The k values every scan table is queried with, in one mixed batch.
+std::vector<std::int64_t> ScanKs(std::int64_t n) {
+  return {0, 1, 10, n - 1, n + 5};
+}
+
+/// A batch of TopK queries over one table: query rows, the node each
+/// excludes (-1: none), and k.
+struct ScanBatch {
+  Matrix queries;
+  std::vector<std::int64_t> exclude;
+  std::vector<std::int64_t> k;
+};
+
+/// Every k of ScanKs for each of `nodes`, whose own rows are the queries.
+ScanBatch RowQueries(const Matrix& z, const std::vector<std::int64_t>& nodes) {
+  ScanBatch batch;
+  const std::vector<std::int64_t> ks = ScanKs(z.rows());
+  batch.queries = Matrix(static_cast<std::int64_t>(nodes.size() * ks.size()),
+                         z.cols());
+  std::int64_t q = 0;
+  for (const std::int64_t node : nodes) {
+    for (const std::int64_t k : ks) {
+      std::copy(z.RowPtr(node), z.RowPtr(node) + z.cols(),
+                batch.queries.RowPtr(q++));
+      batch.exclude.push_back(node);
+      batch.k.push_back(k);
+    }
+  }
+  return batch;
+}
+
+std::vector<TopKSelector> Selectors(const ScanBatch& batch) {
+  std::vector<TopKSelector> best;
+  for (std::size_t q = 0; q < batch.k.size(); ++q) {
+    best.emplace_back(batch.k[q], batch.exclude[q]);
+  }
+  return best;
+}
+
+/// Runs the ordered scan over a sorted copy of `z` and the reference
+/// over `z` at 1, 2 and 7 threads, expects equal node ids and score
+/// bytes per query, and returns the rows the ordered scan scored.
+std::int64_t ExpectOrderedScanMatches(const Matrix& z,
+                                      const ScanBatch& batch) {
+  Matrix sorted = z;
+  const NormOrder order = SortRowsByNorm(&sorted);
+  std::int64_t scored = -1;
+  for (int threads : kThreadCounts) {
+    SetNumThreads(threads);
+    std::vector<TopKSelector> want = Selectors(batch);
+    std::vector<TopKSelector> got = Selectors(batch);
+    ReferenceSlabScan(z, batch.queries, &want);
+    const std::int64_t rows =
+        ScanNormOrdered(sorted, order, batch.queries, &got);
+    if (scored >= 0) {
+      EXPECT_EQ(rows, scored) << "threads " << threads;
+    }
+    scored = rows;
+    for (std::size_t q = 0; q < want.size(); ++q) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads " << threads << " query " << q << " k "
+                   << batch.k[q]);
+      const TopKResult a = want[q].Take();
+      const TopKResult b = got[q].Take();
+      EXPECT_EQ(b.nodes, a.nodes);
+      EXPECT_EQ(Bits(b.scores), Bits(a.scores));
+    }
+  }
+  SetNumThreads(1);
+  return scored;
+}
+
+/// Random rows with every `hub_every`-th row `hub_scale` times longer:
+/// the norm profile of a trained model, whose answers sit among its
+/// largest rows.
+Matrix HubTable(std::int64_t n, std::int64_t d, std::int64_t hub_every,
+                float hub_scale, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix z = Matrix::RandomNormal(n, d, 0, 1, rng);
+  for (std::int64_t v = 0; v < n; v += hub_every) {
+    simd::Scale(z.RowPtr(v), hub_scale, d);
+  }
+  return z;
+}
+
+/// Rows that are signed permutations of 1/8, 2/8, ..., d/8: their
+/// squares and every partial sum of them are exact, so every row has
+/// the same norm bits and nothing can be pruned.
+Matrix EqualNormTable(std::int64_t n, std::int64_t d, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix z(n, d);
+  std::vector<float> base(static_cast<std::size_t>(d));
+  for (std::int64_t j = 0; j < d; ++j) {
+    base[static_cast<std::size_t>(j)] = static_cast<float>(j + 1) / 8.0f;
+  }
+  for (std::int64_t v = 0; v < n; ++v) {
+    std::vector<float> row = base;
+    for (std::int64_t j = d - 1; j > 0; --j) {
+      std::swap(row[static_cast<std::size_t>(j)],
+                row[static_cast<std::size_t>(rng.UniformInt(j + 1))]);
+    }
+    for (std::int64_t j = 0; j < d; ++j) {
+      z(v, j) = (rng.UniformInt(2) == 0 ? 1.0f : -1.0f) *
+                row[static_cast<std::size_t>(j)];
+    }
+  }
+  return z;
+}
+
+TEST(SortRowsByNorm, ReordersRowsInPlaceByDescendingNormBound) {
+  const Matrix z = HubTable(700, 9, 7, 5.0f, 1);
+  Matrix sorted = z;
+  const NormOrder order = SortRowsByNorm(&sorted);
+  ASSERT_EQ(order.ids.size(), 700u);
+  ASSERT_EQ(order.norms.size(), 700u);
+  std::vector<bool> seen(700, false);
+  for (std::int64_t r = 0; r < 700; ++r) {
+    const std::int64_t v = order.ids[static_cast<std::size_t>(r)];
+    ASSERT_FALSE(seen[static_cast<std::size_t>(v)]) << "row " << r;
+    seen[static_cast<std::size_t>(v)] = true;
+    EXPECT_EQ(Bits(RowOf(sorted, r)), Bits(RowOf(z, v))) << "row " << r;
+    long double exact = 0.0L;
+    for (std::int64_t j = 0; j < z.cols(); ++j) {
+      exact += static_cast<long double>(z(v, j)) * z(v, j);
+    }
+    EXPECT_GE(static_cast<long double>(order.norms[r]), std::sqrt(exact));
+    if (r > 0) {
+      const float prev = order.norms[static_cast<std::size_t>(r - 1)];
+      EXPECT_GE(prev, order.norms[r]) << "row " << r;
+      if (prev == order.norms[r]) {
+        EXPECT_LT(order.ids[static_cast<std::size_t>(r - 1)], v);
+      }
+    }
+  }
+  // Equal norms keep ascending id order.
+  Matrix flat = EqualNormTable(50, 6, 2);
+  const NormOrder identity = SortRowsByNorm(&flat);
+  for (std::int32_t r = 0; r < 50; ++r) EXPECT_EQ(identity.ids[r], r);
+}
+
+TEST(KernelDotBound, BoundsTheKernelAndTheExactDot) {
+  // Parallel rows meet Cauchy–Schwarz with equality, so the kernel's
+  // rounding alone decides whether it lands above the norms' product;
+  // opposite-signed halves make the dot cancel; tiny and subnormal rows
+  // exercise the absolute term; huge rows approach overflow, where the
+  // bound holds only below FLT_MAX.
+  Rng rng(23);
+  const double flt_max = std::numeric_limits<float>::max();
+  for (const std::int64_t dim : {1, 2, 7, 33, 64, 128, 1000}) {
+    const KernelDotBound bound(dim);
+    for (int trial = 0; trial < 300; ++trial) {
+      const float bases[] = {1e17f, 1.0f, 1e-22f, 1e-41f, 3.0f};
+      const float base = bases[trial % 5];
+      Matrix rows(2, dim);
+      for (std::int64_t j = 0; j < dim; ++j) {
+        const float x = base * rng.Normal(0, 1.0f);
+        rows(0, j) = x;
+        switch (trial % 4) {
+          case 0:  // parallel: an exact multiple
+            rows(1, j) = 2.0f * x;
+            break;
+          case 1:  // cancelling: the second half flips sign
+            rows(1, j) = 2 * j < dim ? x : -x;
+            break;
+          case 2:  // nearly parallel
+            rows(1, j) = x * (1.0f + 1e-3f * rng.Normal(0, 1.0f));
+            break;
+          default:
+            rows(1, j) = base * rng.Normal(0, 1.0f);
+            break;
+        }
+      }
+      const float* a = rows.RowPtr(0);
+      const float* b = rows.RowPtr(1);
+      long double exact = 0.0L;
+      long double norm_a = 0.0L;
+      long double norm_b = 0.0L;
+      for (std::int64_t j = 0; j < dim; ++j) {
+        exact += static_cast<long double>(a[j]) * b[j];
+        norm_a += static_cast<long double>(a[j]) * a[j];
+        norm_b += static_cast<long double>(b[j]) * b[j];
+      }
+      SCOPED_TRACE(::testing::Message() << "dim " << dim << " trial " << trial);
+      const float upper_a = KernelDotBound::NormUpper(a, dim);
+      const float upper_b = KernelDotBound::NormUpper(b, dim);
+      EXPECT_GE(static_cast<long double>(upper_a), std::sqrt(norm_a));
+      EXPECT_GE(static_cast<long double>(upper_b), std::sqrt(norm_b));
+      const double upper = bound.Upper(upper_a, upper_b);
+      EXPECT_GE(static_cast<long double>(upper), std::fabs(exact));
+      if (upper < flt_max) {
+        EXPECT_GE(upper, std::fabs(static_cast<double>(simd::Dot(a, b, dim))));
+        EXPECT_GE(upper, std::fabs(static_cast<double>(simd::Dot(b, a, dim))));
+      }
+    }
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float big[] = {3e38f, 3e38f};
+  EXPECT_EQ(KernelDotBound::NormUpper(big, 2), inf);
+  const float with_nan[] = {1.0f, nan};
+  EXPECT_EQ(KernelDotBound::NormUpper(with_nan, 2), inf);
+  const float zero[] = {0.0f, -0.0f};
+  EXPECT_EQ(KernelDotBound::NormUpper(zero, 2), 0.0f);
+}
+
+TEST(TopKSelector, OfferRowsRanksByScoreThenId) {
+  const std::vector<float> scores = {5, 1, 5, 7, 5};
+  const std::vector<std::int32_t> ids = {9, 0, 3, 8, 4};
+  TopKSelector best(3, 8);
+  best.OfferRows(scores.data(), ids.data(), 5);
+  const TopKResult top = best.Take();
+  EXPECT_EQ(top.nodes, (std::vector<std::int64_t>{3, 4, 9}));
+  EXPECT_EQ(top.scores, (std::vector<float>{5, 5, 5}));
+}
+
+TEST(TopKSelector, ExcludesOnlyBoundsStrictlyBelowAFullAnswer) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_TRUE(TopKSelector(0, -1).Excludes(1e300));
+  TopKSelector best(2, -1);
+  best.Offer(3.0f, 0);
+  EXPECT_FALSE(best.Excludes(-1.0));  // one kept of two: anything enters
+  best.Offer(2.0f, 1);
+  // A row scoring exactly 2 with a lower id would still enter.
+  EXPECT_FALSE(best.Excludes(2.0));
+  EXPECT_TRUE(best.Excludes(std::nextafter(2.0, 0.0)));
+  // A kept +infinity could tie an unscanned row whose dot overflowed.
+  TopKSelector overflowed(1, -1);
+  overflowed.Offer(inf, 5);
+  EXPECT_FALSE(overflowed.Excludes(1e300));
+  // A non-positive k-th score never excludes a (non-negative) bound.
+  TopKSelector negative(1, -1);
+  negative.Offer(-1.0f, 0);
+  EXPECT_FALSE(negative.Excludes(0.0));
+  EXPECT_TRUE(negative.Excludes(-2.0));
+}
+
+TEST(OrderedScan, HubTableMatchesTheSlabScanAndStopsEarly) {
+  const Matrix z = HubTable(3000, 16, 100, 20.0f, 3);
+  EXPECT_GT(ExpectOrderedScanMatches(z, RowQueries(z, {5, 1000, 2999, 200})),
+            0);
+  // A single k = 10 query stops within the first blocks.
+  ScanBatch one;
+  one.queries = Matrix(1, z.cols());
+  std::copy(z.RowPtr(1234), z.RowPtr(1234) + z.cols(), one.queries.RowPtr(0));
+  one.exclude = {1234};
+  one.k = {10};
+  EXPECT_LE(ExpectOrderedScanMatches(z, one), 3000 / 10);
+}
+
+TEST(OrderedScan, EqualNormsScanEveryRow) {
+  const Matrix z = EqualNormTable(1500, 12, 4);
+  const ScanBatch batch = RowQueries(z, {0, 777, 1499});
+  // Nothing is pruned: every query with k > 0 scores every row.
+  const std::int64_t scanning = 3 * 4;
+  EXPECT_EQ(ExpectOrderedScanMatches(z, batch), scanning * 1500);
+}
+
+TEST(OrderedScan, DuplicatedRowsTieByAscendingId) {
+  // 30 distinct rows, each at ~80 scattered ids: every answer is a run
+  // of ties that the node id decides.
+  const Matrix distinct = HubTable(30, 8, 6, 4.0f, 5);
+  Rng rng(6);
+  Matrix z(2400, 8);
+  for (std::int64_t v = 0; v < z.rows(); ++v) {
+    const std::int64_t src = rng.UniformInt(distinct.rows());
+    std::copy(distinct.RowPtr(src), distinct.RowPtr(src) + 8, z.RowPtr(v));
+  }
+  ExpectOrderedScanMatches(z, RowQueries(z, {0, 1, 1200, 2399}));
+}
+
+TEST(OrderedScan, EqualNormsStraddlingABlockBoundary) {
+  // Sorted, 60 long rows come first, then a 10-row group of one norm
+  // across the 64-row boundary, shorter rows, a second group across the
+  // 192-row boundary, then short rows; ids are shuffled.
+  const std::int64_t n = 2000;
+  const std::int64_t d = 6;
+  const Matrix group = EqualNormTable(20, d, 7);
+  Rng rng(8);
+  std::vector<std::int64_t> ids(static_cast<std::size_t>(n));
+  for (std::int64_t v = 0; v < n; ++v) ids[static_cast<std::size_t>(v)] = v;
+  for (std::int64_t v = n - 1; v > 0; --v) {
+    std::swap(ids[static_cast<std::size_t>(v)],
+              ids[static_cast<std::size_t>(rng.UniformInt(v + 1))]);
+  }
+  Matrix z(n, d);
+  for (std::int64_t r = 0; r < n; ++r) {
+    float* row = z.RowPtr(ids[static_cast<std::size_t>(r)]);
+    if ((r >= 60 && r < 70) || (r >= 187 && r < 197)) {
+      const std::int64_t src = r < 70 ? r - 60 : r - 187 + 10;
+      const float scale = r < 70 ? 30.0f : 8.0f;
+      for (std::int64_t j = 0; j < d; ++j) row[j] = scale * group(src, j);
+    } else {
+      const float scale = r < 60 ? 40.0f : (r < 187 ? 10.0f : 0.5f);
+      for (std::int64_t j = 0; j < d; ++j) {
+        row[j] = scale * (0.5f + 0.1f * rng.Uniform());
+      }
+    }
+  }
+  Matrix sorted = z;
+  const NormOrder order = SortRowsByNorm(&sorted);
+  EXPECT_EQ(order.norms[60], order.norms[69]);
+  EXPECT_EQ(order.norms[187], order.norms[196]);
+  ExpectOrderedScanMatches(
+      z, RowQueries(z, {ids[0], ids[63], ids[64], ids[190], ids[1500]}));
+}
+
+TEST(OrderedScan, AllNegativeScoresNeverStop) {
+  Rng rng(9);
+  Matrix z = Matrix::RandomNormal(1200, 10, 0, 1, rng);
+  for (std::int64_t v = 0; v < z.rows(); ++v) {
+    for (std::int64_t j = 0; j < z.cols(); ++j) z(v, j) = std::fabs(z(v, j));
+  }
+  ScanBatch batch;
+  const std::vector<std::int64_t> ks = ScanKs(z.rows());
+  batch.queries = Matrix(static_cast<std::int64_t>(ks.size()), z.cols());
+  for (std::size_t q = 0; q < ks.size(); ++q) {
+    for (std::int64_t j = 0; j < z.cols(); ++j) {
+      batch.queries(static_cast<std::int64_t>(q), j) = -1.0f - z(17, j);
+    }
+    batch.exclude.push_back(-1);
+    batch.k.push_back(ks[q]);
+  }
+  EXPECT_EQ(ExpectOrderedScanMatches(z, batch), 4 * z.rows());
+}
+
+TEST(OrderedScan, KthScoreTiedWithALaterRowKeepsScanning) {
+  // The query is e1. 191 long rows score -1 and fill the first two
+  // blocks; row A (id 250, norm sqrt(13)) ends block two with score 2.
+  // Rows B and C (ids 7 and 3, norm 2) start block three with score 2 as
+  // well: their bound only reaches 2, so the scan must go on to them,
+  // and they win the tie on id.
+  const std::int64_t n = 600;
+  Matrix z(n, 4);
+  Rng rng(10);
+  std::int64_t next_long = 0;
+  for (std::int64_t v = 0; v < n; ++v) {
+    if (v == 250 || v == 7 || v == 3) continue;
+    if (next_long < 191 && v % 3 == 0) {
+      z(v, 0) = -1.0f;
+      z(v, 1) = 10.0f + static_cast<float>(next_long++);
+    } else {
+      z(v, 0) = 0.1f * rng.Uniform();
+      z(v, 2) = 0.1f * rng.Uniform();
+    }
+  }
+  ASSERT_EQ(next_long, 191);
+  z(250, 0) = 2.0f;
+  z(250, 1) = 3.0f;
+  z(7, 0) = 2.0f;
+  z(3, 0) = 2.0f;
+  Matrix sorted = z;
+  const NormOrder order = SortRowsByNorm(&sorted);
+  ASSERT_EQ(order.ids[191], 250);
+  ASSERT_EQ(order.ids[192], 3);
+  ASSERT_EQ(order.ids[193], 7);
+  ScanBatch batch;
+  batch.queries = Matrix(3, 4);
+  for (std::int64_t q = 0; q < 3; ++q) batch.queries(q, 0) = 1.0f;
+  batch.exclude = {-1, -1, 3};
+  batch.k = {1, 2, 1};
+  ExpectOrderedScanMatches(z, batch);
+  std::vector<TopKSelector> best = Selectors(batch);
+  ScanNormOrdered(sorted, order, batch.queries, &best);
+  EXPECT_EQ(best[0].Take().nodes, (std::vector<std::int64_t>{3}));
+  EXPECT_EQ(best[1].Take().nodes, (std::vector<std::int64_t>{3, 7}));
+  EXPECT_EQ(best[2].Take().nodes, (std::vector<std::int64_t>{7}));
+}
+
+/// A graph with no edges whose features are `table`: under the
+/// identity-weight checkpoint below, its served embeddings are the table.
+Graph TableGraph(const Matrix& table) {
+  return BuildGraph(table.rows(), {}, table);
+}
+
+/// A one-layer, weight-only encoder checkpoint with weight `w`.
+TrainerCheckpoint WeightCheckpoint(const Matrix& w) {
+  TrainerCheckpoint ckpt;
+  ckpt.encoder_params = {w};
+  return ckpt;
+}
+
+Matrix Identity(std::int64_t d) {
+  Matrix w(d, d);
+  for (std::int64_t j = 0; j < d; ++j) w(j, j) = 1.0f;
+  return w;
+}
+
+/// The table `server` serves for `g` under `ckpt`, in node order.
+Matrix ServedTable(const Graph& g, const TrainerCheckpoint& ckpt) {
+  GcnConfig cfg;
+  cfg.dims = {g.feature_dim(), ckpt.encoder_params[0].cols()};
+  cfg.bias = false;
+  Rng rng(0);
+  GcnEncoder encoder(cfg, rng);
+  encoder.params().LoadValues(ckpt.encoder_params);
+  return encoder.Encode(g);
+}
+
+/// The reference answer of node `node`'s TopK over `z`.
+TopKResult ReferenceTopK(const Matrix& z, std::int64_t node, std::int64_t k) {
+  Matrix query(1, z.cols());
+  std::copy(z.RowPtr(node), z.RowPtr(node) + z.cols(), query.RowPtr(0));
+  std::vector<TopKSelector> best;
+  best.emplace_back(std::min(k, z.rows() - 1), node);
+  ReferenceSlabScan(z, query, &best);
+  return best[0].Take();
+}
+
+TEST(EmbeddingServer, OrderedScanServesTheSlabScanAnswer) {
+  const Matrix tables[] = {HubTable(2500, 12, 50, 10.0f, 11),
+                           EqualNormTable(2500, 12, 12)};
+  for (const Matrix& table : tables) {
+    const Graph g = TableGraph(table);
+    const TrainerCheckpoint ckpt = WeightCheckpoint(Identity(table.cols()));
+    const Matrix z = ServedTable(g, ckpt);
+    const std::int64_t n = z.rows();
+    for (int threads : kThreadCounts) {
+      SetNumThreads(threads);
+      for (bool precompute : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "precompute " << precompute
+                                          << " threads " << threads);
+        FlusherGate gate;
+        bool first = true;  // flusher-only
+        ServeOptions opt;
+        opt.precompute = precompute;
+        opt.fault_injector.stall_batch = [&](std::int64_t) {
+          if (first) gate.Block();
+          first = false;
+        };
+        std::string error;
+        auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
+        ASSERT_NE(server, nullptr) << error;
+        // Rows and scores before the generation's first TopK, served in
+        // the batch that sorts the table, and after it.
+        const std::vector<Query> lookups = {{Query::kRow, 0, 0},
+                                            {Query::kRow, n - 1, 0},
+                                            {Query::kRow, 1234, 0},
+                                            {Query::kScore, 3, 2000},
+                                            {Query::kScore, n - 1, 50}};
+        std::future<Answer> blocker = Send(*server, lookups[0]);
+        gate.AwaitBlocked();
+        std::vector<std::future<Answer>> batch;
+        for (const Query& q : lookups) batch.push_back(Send(*server, q));
+        for (const std::int64_t k : ScanKs(n)) {
+          batch.push_back(Send(*server, {Query::kTopK, 1234, k}));
+        }
+        batch.push_back(Send(*server, {Query::kTopK, 50, 10}));
+        gate.Release();
+        EXPECT_EQ(blocker.get().status, ServeStatus::kOk);
+        std::vector<Answer> got;
+        for (std::future<Answer>& f : batch) got.push_back(f.get());
+        for (std::size_t i = 0; i < lookups.size(); ++i) {
+          const Query& q = lookups[i];
+          const std::vector<float> want =
+              q.kind == Query::kRow
+                  ? RowOf(z, q.a)
+                  : std::vector<float>{simd::Dot(z.RowPtr(q.a), z.RowPtr(q.b),
+                                                 z.cols())};
+          EXPECT_EQ(got[i].bits, Bits(want)) << "lookup " << i;
+          EXPECT_EQ(Send(*server, q).get().bits, Bits(want))
+              << "lookup " << i << " after the first TopK";
+        }
+        std::size_t at = lookups.size();
+        for (const std::int64_t k : ScanKs(n)) {
+          const TopKResult want = ReferenceTopK(z, 1234, k);
+          EXPECT_EQ(got[at].nodes, want.nodes) << "k " << k;
+          EXPECT_EQ(got[at].bits, Bits(want.scores)) << "k " << k;
+          ++at;
+        }
+        for (const std::int64_t node : {50L, 0L, n - 1, 777L}) {
+          const TopKResult want = ReferenceTopK(z, node, 10);
+          const Answer solo = Send(*server, {Query::kTopK, node, 10}).get();
+          EXPECT_EQ(solo.nodes, want.nodes) << "node " << node;
+          EXPECT_EQ(solo.bits, Bits(want.scores)) << "node " << node;
+          if (node == 50) {
+            EXPECT_EQ(got[at].nodes, want.nodes);
+            EXPECT_EQ(got[at].bits, Bits(want.scores));
+          }
+        }
+      }
+    }
+  }
+  SetNumThreads(1);
+}
+
+TEST(EmbeddingServer, RecordsRowsScoredPerQuery) {
+  SetObsEnabled(true);
+  const Matrix hubs = HubTable(3000, 16, 50, 30.0f, 13);
+  const Matrix flat = EqualNormTable(3000, 16, 14);
+  const std::int64_t nodes[] = {1, 500, 2999};
+  for (const Matrix* table : {&hubs, &flat}) {
+    const Graph g = TableGraph(*table);
+    const TrainerCheckpoint ckpt = WeightCheckpoint(Identity(table->cols()));
+    ServeOptions opt;
+    opt.precompute = true;
+    std::string error;
+    auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
+    ASSERT_NE(server, nullptr) << error;
+    MetricsRegistry::Get().ResetValuesForTest();
+    for (const std::int64_t node : nodes) ServedExactTopK(*server, node, 10);
+    const std::uint64_t scored =
+        MetricsRegistry::Get().Snapshot().counter("serve.topk.rows_scored");
+    if (table == &flat) {
+      EXPECT_EQ(scored, 3u * 3000u);  // one full pass per query
+    } else {
+      // The 60 hubs hold every answer: each query stops within the
+      // first two blocks (64 + 128 rows).
+      EXPECT_GT(scored, 0u);
+      EXPECT_LE(scored, 3u * 192u);
+    }
+  }
+}
+
+TEST(EmbeddingServer, ReloadedGenerationSortsItsOwnTable) {
+  const Matrix table = HubTable(2000, 8, 40, 8.0f, 15);
+  const Graph g = TableGraph(table);
+  const TrainerCheckpoint first = WeightCheckpoint(Identity(8));
+  // The second model stretches one column, so its rows sort otherwise.
+  Matrix stretch = Identity(8);
+  stretch(5, 5) = 30.0f;
+  const TrainerCheckpoint second = WeightCheckpoint(stretch);
+  const Matrix z1 = ServedTable(g, first);
+  const Matrix z2 = ServedTable(g, second);
+  for (bool precompute : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "precompute " << precompute);
+    ServeOptions opt;
+    opt.precompute = precompute;
+    std::string error;
+    auto server = EmbeddingServer::FromCheckpoint(g, first, opt, &error);
+    ASSERT_NE(server, nullptr) << error;
+    const auto expect_generation = [&](const Matrix& z, std::uint64_t gen) {
+      for (const std::int64_t node : {3L, 40L, 1999L}) {
+        const TopKResponse top =
+            server->TopKSimilar(node, 10, ServeRequestOptions{});
+        ASSERT_EQ(top.status, ServeStatus::kOk);
+        EXPECT_EQ(top.generation, gen);
+        const TopKResult want = ReferenceTopK(z, node, 10);
+        EXPECT_EQ(top.result.nodes, want.nodes) << "node " << node;
+        EXPECT_EQ(Bits(top.result.scores), Bits(want.scores));
+        const EmbeddingResponse row =
+            server->GetEmbedding(node, ServeRequestOptions{});
+        EXPECT_EQ(row.generation, gen);
+        EXPECT_EQ(Bits(row.row), Bits(RowOf(z, node))) << "node " << node;
+      }
+    };
+    expect_generation(z1, 1);
+    const std::shared_ptr<const ModelState> old = server->state();
+    ASSERT_EQ(server->ReloadCheckpoint(second, &error), ServeStatus::kOk)
+        << error;
+    EXPECT_TRUE(server->state()->order.ids.empty());
+    expect_generation(z2, 2);
+    EXPECT_NE(server->state()->order.ids, old->order.ids);
+  }
 }
 
 // --- Checkpoint loading & validation. --------------------------------------
