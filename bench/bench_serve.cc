@@ -3,8 +3,8 @@
 // batch size, for both cache-cold (lazy, evicting) and cache-hot
 // regimes plus the precompute mode; and TopKSimilar on the exact fp32
 // path (the norm-ordered scan, which stops a query once no unscanned
-// row can enter its answer) against the int8 scan with and without its
-// exact rescore, which read every row.
+// row can enter its answer) against the int8 scan, which reads every
+// row to pick a 4k candidate pool and rescores it exactly.
 //
 // Writes BENCH_serve.json, an array of the serve_bench.h records, which
 // tools/check_perf.sh's serve suite gates at a 50% bound over 10
@@ -58,14 +58,11 @@ std::vector<double> DriveClients(EmbeddingServer& server,
 }
 
 /// TopKSimilar variant of DriveClients: each query asks for the 8
-/// nearest nodes, the answer set that the int8 path approximates and
-/// then rescores.
+/// nearest nodes.
 std::vector<double> DriveTopKClients(EmbeddingServer& server,
                                      std::int64_t num_nodes) {
   std::vector<std::vector<double>> per_client(kClientThreads);
   std::vector<std::thread> clients;
-  ServeRequestOptions exact;
-  exact.allow_degraded = false;
   for (int c = 0; c < kClientThreads; ++c) {
     clients.emplace_back([&, c] {
       Rng rng(200 + static_cast<std::uint64_t>(c));
@@ -73,7 +70,8 @@ std::vector<double> DriveTopKClients(EmbeddingServer& server,
       for (int q = 0; q < kQueriesPerClient; ++q) {
         const std::int64_t node = rng.UniformInt(num_nodes);
         const auto t0 = std::chrono::steady_clock::now();
-        const TopKResponse top = server.TopKSimilar(node, 8, exact);
+        const TopKResponse top =
+            server.TopKSimilar(node, 8, ServeRequestOptions{});
         const auto t1 = std::chrono::steady_clock::now();
         if (top.status != ServeStatus::kOk || top.result.nodes.empty()) {
           std::abort();
@@ -231,18 +229,15 @@ int main() {
     records.push_back(RunConfig(g, ckpt, "serve/precompute/b16", threads,
                                 pre, /*warm=*/false));
 
-    // Top-k similarity: exact fp32 scan vs the int8 path (approximate
-    // int8 scan then exact rescore of an 8*4 candidate pool).
+    // Top-k similarity: exact fp32 scan vs the int8 path (int8 scan
+    // then exact rescore of an 8*4 candidate pool).
     ServeOptions topk = pre;
     records.push_back(
         RunTopKConfig(g, ckpt, "serve/topk_fp32/b16", threads, topk));
-    topk.quantize_int8 = true;  // rescore_factor stays at the default 4
+    topk.quantize_int8 = true;
     records.push_back(
         RunTopKConfig(g, ckpt, "serve/topk_int8/b16", threads, topk));
-    topk.rescore_factor = 0;  // approximate-only ranking
-    records.push_back(
-        RunTopKConfig(g, ckpt, "serve/topk_int8_approx/b16", threads, topk));
-    for (std::size_t i = records.size() - 10; i < records.size(); ++i) {
+    for (std::size_t i = records.size() - 9; i < records.size(); ++i) {
       PrintRecord(records[i]);
     }
   }

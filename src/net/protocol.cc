@@ -20,21 +20,18 @@ bool IsKnownType(FrameType t) {
          t == FrameType::kStatsResponse || t == FrameType::kError;
 }
 
-/// Reads the per-request options trailer {i64 deadline_us, u8
-/// allow_degraded}; deadline must be non-negative and the flag byte
-/// strictly 0/1 so a garbled stream cannot smuggle through as "valid".
+/// Reads the per-request options trailer {i64 deadline_us}; the
+/// deadline must be non-negative so a garbled stream cannot smuggle
+/// through as "valid".
 bool ReadOptions(ByteReader* r, ServeRequestOptions* options) {
   const std::int64_t deadline_us = r->ReadI64();
-  const std::uint32_t allow = r->ReadU32();
-  if (!r->ok() || deadline_us < 0 || allow > 1) return false;
+  if (!r->ok() || deadline_us < 0) return false;
   options->deadline_us = deadline_us;
-  options->allow_degraded = allow == 1;
   return true;
 }
 
 void WriteOptions(ByteWriter* w, const ServeRequestOptions& options) {
   w->WriteI64(options.deadline_us);
-  w->WriteU32(options.allow_degraded ? 1 : 0);
 }
 
 /// Shared response prefix {u8 status (validated), u64 generation}.
@@ -195,7 +192,7 @@ HeaderStatus TryDecodeHeader(const std::string& buf, FrameHeader* header,
     *error = WireError::kBadMagic;
     return HeaderStatus::kError;
   }
-  if (header->version == 0 || header->version > kProtocolVersion) {
+  if (header->version != kProtocolVersion) {
     *error = WireError::kBadVersion;
     return HeaderStatus::kError;
   }

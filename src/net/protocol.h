@@ -15,7 +15,7 @@ namespace net {
 /// Every message — request or response — is one frame:
 ///
 ///   u32 magic   0x4532474E ("E2GN")
-///   u8  version kProtocolVersion (readers reject anything newer)
+///   u8  version kProtocolVersion (readers reject every other version)
 ///   u8  type    FrameType
 ///   u16 flags   reserved, must be zero
 ///   u64 request_id  echoed verbatim in the matching response
@@ -34,7 +34,10 @@ namespace net {
 /// answered in-band without closing. See DESIGN.md "Network protocol".
 
 inline constexpr std::uint32_t kProtocolMagic = 0x4532474E;  // "E2GN"
-inline constexpr std::uint8_t kProtocolVersion = 1;
+/// A reader accepts only its own version: the payload layout is tied to
+/// it, so a frame of any other version is refused at the header instead
+/// of misparsed.
+inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::size_t kFrameHeaderSize = 24;
 /// Upper bound on a declared payload. Far above any legitimate message
 /// (the largest is a TopK response, 12 bytes per hit) but small enough
@@ -179,8 +182,7 @@ bool VerifyPayload(const FrameHeader& header, const std::string& payload);
 
 /// Decodes a request frame's payload (header.type must be a request
 /// type). False on unknown type, short payload, trailing bytes, or
-/// invalid field values (negative deadline, flag bytes other than
-/// 0/1).
+/// invalid field values (a negative deadline).
 bool DecodeRequest(const FrameHeader& header, const std::string& payload,
                    Request* out);
 

@@ -53,8 +53,8 @@ struct NetServerOptions {
 ///
 ///  * the length-prefixed binary protocol (net/protocol.h) mapping
 ///    GetEmbedding / ScoreLink / TopKSimilar / Stats onto the typed
-///    ServeStatus API, deadlines and allow_degraded propagated from
-///    the wire into ServeRequestOptions;
+///    ServeStatus API, deadlines propagated from the wire into
+///    ServeRequestOptions;
 ///  * minimal HTTP/1.1 for GET /healthz and GET /metrics (the full
 ///    MetricsRegistry snapshot as JSON), one request per connection.
 ///

@@ -94,12 +94,6 @@ void RecordRejected(ServeStatus status) {
   }
 }
 
-void RecordDegraded() {
-  if (!ObsEnabled()) return;
-  static const Counter degraded = Counter::Get("serve.degraded");
-  degraded.Increment();
-}
-
 void RecordReload(ServeStatus status) {
   if (!ObsEnabled()) return;
   static const Counter success = Counter::Get("serve.reload.success");
@@ -126,6 +120,9 @@ constexpr std::int64_t kSlabRows = 4096;
 /// after a few small blocks, and a scan that prunes nothing soon moves
 /// in full slabs.
 constexpr std::int64_t kFirstBlockRows = 64;
+/// The int8 scan keeps min(kPoolFactor * k, |V| - 1) candidates per
+/// query for the exact fp32 rescore.
+constexpr std::int64_t kPoolFactor = 4;
 
 /// The int8 scan, in node order: fixed slabs of rows bound the score
 /// buffer, and each query's selector carries across them. A slab's row
@@ -326,11 +323,7 @@ struct EmbeddingServer::Request {
 
   Request(Kind kind, std::int64_t a, std::int64_t b,
           const ServeRequestOptions& options)
-      : kind(kind),
-        a(a),
-        b(b),
-        allow_degraded(options.allow_degraded),
-        enqueue(Clock::now()) {
+      : kind(kind), a(a), b(b), enqueue(Clock::now()) {
     // deadline_us may come off the wire unbounded: one beyond the
     // clock's range is no deadline, not an overflow.
     const std::int64_t range_us =
@@ -365,15 +358,12 @@ struct EmbeddingServer::Request {
   std::int64_t a = 0;
   /// kScore: v. kTopK: k.
   std::int64_t b = 0;
-  bool allow_degraded = true;
   Clock::time_point enqueue;
   /// time_point::max() when the request has no deadline.
   Clock::time_point deadline = Clock::time_point::max();
   /// The model generation this request was admitted under (pinned: a
   /// concurrent reload cannot change the model mid-request).
   std::shared_ptr<ModelState> state;
-  /// Serve this TopK request from the approximate scan (load shedding).
-  bool degrade = false;
   /// Written only by the flusher, before `done` runs.
   ServeStatus status = ServeStatus::kOk;
   std::vector<float> row;
@@ -412,9 +402,7 @@ EmbeddingServer::EmbeddingServer(const Graph& graph,
       options_(options),
       state_(std::move(state)) {
   E2GCL_CHECK(options_.max_batch >= 1);
-  E2GCL_CHECK(options_.rescore_factor >= 0);
   E2GCL_CHECK(options_.max_queue_depth >= 1);
-  E2GCL_CHECK(options_.degrade_watermark >= 0);
   E2GCL_CHECK(state_ != nullptr && state_->encoder != nullptr);
   UpdateGenerationGauge(state_->generation);
   // Started last: everything above happens-before the flusher's first
@@ -563,7 +551,7 @@ std::int64_t EmbeddingServer::queue_depth() const {
   return static_cast<std::int64_t>(queue_.size());
 }
 
-const ShardedRowCache* EmbeddingServer::cache() const {
+const RowCache* EmbeddingServer::cache() const {
   MutexLock lock(mu_);
   return state_->cache.get();
 }
@@ -608,11 +596,6 @@ ServeStatus EmbeddingServer::Submit(std::unique_ptr<Request> req,
   // this line does not affect this request.
   req->state = state_;
   if (generation != nullptr) *generation = state_->generation;
-  req->degrade = req->kind == Request::Kind::kTopK && req->allow_degraded &&
-                 options_.degrade_watermark > 0 &&
-                 !req->state->quantized.empty() &&
-                 static_cast<std::int64_t>(queue_.size()) >=
-                     options_.degrade_watermark;
   queue_.push_back(std::move(req));
   UpdateQueueGauge(static_cast<std::int64_t>(queue_.size()));
   queue_cv_.NotifyOne();
@@ -762,13 +745,8 @@ void EmbeddingServer::ServeTopK(ModelState& state,
   const std::int64_t n = graph_->num_nodes;
   const std::int64_t d = queries.cols();
   const std::int64_t b = queries.rows();
-  // The fp32 scan is exact. The int8 scan answers directly when the
-  // rescore is off (rescore_factor == 0) or skipped under load (a
-  // degraded request); otherwise it only picks k * rescore_factor
-  // candidates.
-  const auto rescored = [&](const Request* r) {
-    return quantized && !r->degrade && options_.rescore_factor > 0;
-  };
+  // The fp32 scan is exact; the int8 scan only picks each query's
+  // candidate pool. k <= n - 1 here, so kPoolFactor * k cannot overflow.
   const auto answer_size = [&](const Request* r) {
     return std::min<std::int64_t>(r->b, n - 1);
   };
@@ -776,11 +754,7 @@ void EmbeddingServer::ServeTopK(ModelState& state,
   best.reserve(static_cast<std::size_t>(b));
   for (const Request* r : batch) {
     const std::int64_t k = answer_size(r);
-    const std::int64_t f = options_.rescore_factor;
-    // min(k * f, n - 1), without overflow for a huge factor.
-    const std::int64_t keep =
-        !rescored(r) ? k : (k > (n - 1) / f ? n - 1 : k * f);
-    best.emplace_back(keep, r->a);
+    best.emplace_back(quantized ? std::min(kPoolFactor * k, n - 1) : k, r->a);
   }
   if (quantized) {
     ScanQuantized(table, queries, &best);
@@ -792,12 +766,8 @@ void EmbeddingServer::ServeTopK(ModelState& state,
   for (std::int64_t q = 0; q < b; ++q) {
     Request* r = batch[static_cast<std::size_t>(q)];
     TopKResult top = best[static_cast<std::size_t>(q)].Take();
-    if (!rescored(r)) {
+    if (!quantized) {
       r->topk = std::move(top);
-      if (r->degrade) {
-        r->status = ServeStatus::kDegraded;
-        RecordDegraded();
-      }
       continue;
     }
     // Exact fp32 rescore of the candidate pool: fetch the candidates'
@@ -831,7 +801,7 @@ std::vector<std::vector<float>> EmbeddingServer::FetchRows(
     }
     return rows;
   }
-  ShardedRowCache& cache = *state.cache;
+  RowCache& cache = *state.cache;
   const std::uint64_t corrupt_before = cache.corrupt_dropped();
   std::vector<std::int64_t> missing;
   std::vector<std::size_t> missing_slot;

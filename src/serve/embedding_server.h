@@ -30,10 +30,8 @@ struct ServeOptions {
   /// resident memory) instead of computing L-hop frontiers lazily behind
   /// the row cache. Both modes return bit-identical rows.
   bool precompute = false;
-  /// Total row budget of the lazy-mode cache and its shard count (the
-  /// budget is split evenly across shards; see ShardedRowCache).
+  /// Row budget of the lazy-mode LRU cache (see RowCache).
   std::int64_t cache_capacity = 4096;
-  int cache_shards = 8;
   /// Micro-batching is greedy: whatever is queued when the flusher is
   /// free ships at once, up to `max_batch` requests. Under load batches
   /// form naturally while the previous batch is being served, and a lone
@@ -43,25 +41,17 @@ struct ServeOptions {
   /// Serve TopKSimilar from a symmetric int8 per-row quantized copy of
   /// the embedding table (built once per model generation; ~4x smaller
   /// than the fp32 matrix that lazy TopK would otherwise materialize).
-  /// The approximate scan picks k * rescore_factor candidates, which are
-  /// re-scored with exact fp32 rows before the final top-k cut;
-  /// rescore_factor = 0 skips the rescore and returns approximate
-  /// scores. GetEmbedding/ScoreLink always stay exact fp32.
+  /// The int8 scan picks a pool of min(4k, |V| - 1) candidates, which
+  /// are re-scored with exact fp32 rows before the final top-k cut: the
+  /// answer equals the fp32 scan's whenever the true top k survive into
+  /// the pool. GetEmbedding/ScoreLink always stay exact fp32.
   bool quantize_int8 = false;
-  std::int64_t rescore_factor = 4;
   /// Admission-control watermark: a request arriving while this many
   /// requests are already queued is rejected immediately with
   /// kOverloaded (load shedding) instead of growing the queue without
   /// bound. The bounded-retry helper (RetryWithBackoff) is the intended
   /// client response.
   std::int64_t max_queue_depth = 4096;
-  /// Graceful degradation: when a TopKSimilar request that allows it
-  /// arrives while at least this many requests are queued (pressure),
-  /// it is answered from the int8 approximate scan with the exact
-  /// rescore skipped and flagged kDegraded. 0 disables degradation.
-  /// Requires quantize_int8 (without a table there is nothing cheaper
-  /// to answer from, and the request is served exactly).
-  std::int64_t degrade_watermark = 0;
   /// When nonzero, loading refuses a checkpoint whose config fingerprint
   /// differs (same contract as trainer resume). Hot reloads revalidate
   /// against the same fingerprint.
@@ -76,8 +66,7 @@ struct ServeOptions {
 /// depend on the order candidates are offered in. It streams: a bounded
 /// heap whose front is the worst kept candidate, so a scan keeps O(k)
 /// state per query however many rows it offers. Every TopK answer is cut
-/// by one: the fp32 scan, the int8 scan, the int8 candidate pool and its
-/// exact rescore.
+/// by one: the fp32 scan, the int8 candidate pool and its exact rescore.
 class TopKSelector {
  public:
   /// Keeps the best `k` (>= 0) candidates other than `exclude` (the
@@ -152,8 +141,8 @@ std::int64_t ScanNormOrdered(const Matrix& table, const NormOrder& order,
 ///    request is dropped without paying its compute. A blocking caller
 ///    is released at its deadline even if the flusher is wedged.
 ///  * Admission control sheds load at the max_queue_depth watermark
-///    (kOverloaded) and degrades eligible TopK requests under pressure
-///    (kDegraded, int8 approximate scan, always flagged and counted).
+///    (kOverloaded); queue pressure never changes how an admitted
+///    request is answered.
 ///  * Hot checkpoint reload: ReloadCheckpoint/ReloadFromFile build and
 ///    validate a fresh generation off the serving path, then swap it in
 ///    RCU-style. In-flight requests stay pinned to the generation they
@@ -166,8 +155,7 @@ std::int64_t ScanNormOrdered(const Matrix& table, const NormOrder& order,
 /// Determinism contract: within one model generation a row is
 /// bit-identical whether it is served cold, from the cache, solo, or
 /// inside any batch composition, at any E2GCL_NUM_THREADS — see
-/// DESIGN.md "Serving architecture". Degraded responses are exactly the
-/// approximate-scan answers (themselves deterministic), never a mix.
+/// DESIGN.md "Serving architecture".
 class EmbeddingServer {
  public:
   /// Loads + validates an on-disk checkpoint (magic/version/per-section
@@ -221,9 +209,7 @@ class EmbeddingServer {
                         const ServeRequestOptions& request,
                         std::function<void(ScoreResponse)> done);
 
-  /// The k most similar nodes to `node` by dot-product score. May be
-  /// answered degraded (see ServeOptions::degrade_watermark) when
-  /// `request.allow_degraded` is set.
+  /// The k most similar nodes to `node` by dot-product score.
   TopKResponse TopKSimilar(std::int64_t node, std::int64_t k,
                            const ServeRequestOptions& request);
   ServeStatus TopKSimilar(std::int64_t node, std::int64_t k,
@@ -267,7 +253,7 @@ class EmbeddingServer {
   /// Current generation's lazy-mode row cache (nullptr in precompute
   /// mode). The pointer is invalidated by a reload — use state() when
   /// reloads may run concurrently.
-  const ShardedRowCache* cache() const;
+  const RowCache* cache() const;
   /// Current generation's int8 table (empty unless
   /// options.quantize_int8). Same reload caveat as cache().
   const QuantizedEmbeddingTable& quantized() const;
@@ -310,8 +296,7 @@ class EmbeddingServer {
   /// Serves a batch's TopK requests, whose query rows are `queries`
   /// (row q for batch[q]), in one pass over the table: the norm-ordered
   /// fp32 scan, or the int8 scan in node order with an exact rescore of
-  /// each candidate pool (skipped when rescore_factor is 0 or the
-  /// request is degraded).
+  /// each candidate pool.
   void ServeTopK(ModelState& state, const std::vector<Request*>& batch,
                  const Matrix& queries);
 

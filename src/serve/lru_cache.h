@@ -1,7 +1,6 @@
 #ifndef E2GCL_SERVE_LRU_CACHE_H_
 #define E2GCL_SERVE_LRU_CACHE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -15,79 +14,70 @@
 
 namespace e2gcl {
 
-/// Sharded LRU cache for lazily-computed embedding rows, keyed by node
-/// id. A row's shard is `node % num_shards`, so a given key always maps
-/// to the same shard and hit/miss behaviour is independent of which
-/// thread asks. Each shard holds an intrusive recency list plus an
-/// unordered index into it and is protected by its own mutex; lookups
-/// for different shards never contend. The cache stores *values*
-/// (copies in, copies out) — callers never see references into the
-/// cache, so eviction can never invalidate a served row.
-///
-/// Capacity is a total row budget split evenly across shards (each
-/// shard gets at least one slot). Eviction is strictly
-/// least-recently-used within a shard.
+/// LRU cache for lazily-computed embedding rows, keyed by node id: one
+/// recency list plus an unordered index into it. The EmbeddingServer
+/// reads and writes it only on its flusher thread; the mutex lets other
+/// threads inspect it (Size, Contains) while it serves. The cache
+/// stores *values* (copies in, copies out) — callers never see
+/// references into the cache, so eviction can never invalidate a served
+/// row.
 ///
 /// Every entry carries a CRC32 of its row bytes, computed at Put time
 /// and re-verified on Get: a corrupted entry (bit rot, stray write) is
 /// dropped and reported as a miss, so the caller recomputes the row
 /// instead of serving garbage. Detections are counted in
 /// `corrupt_dropped()` and the `serve.cache.corrupt_dropped` counter.
-class ShardedRowCache {
+class RowCache {
  public:
-  ShardedRowCache(std::int64_t capacity, int num_shards)
-      : shards_(static_cast<std::size_t>(num_shards)) {
-    E2GCL_CHECK(capacity >= 1 && num_shards >= 1);
-    per_shard_capacity_ =
-        std::max<std::int64_t>(1, capacity / num_shards);
+  /// Holds at most `capacity` (>= 1) rows.
+  explicit RowCache(std::int64_t capacity) : capacity_(capacity) {
+    E2GCL_CHECK(capacity >= 1);
   }
 
-  ShardedRowCache(const ShardedRowCache&) = delete;
-  ShardedRowCache& operator=(const ShardedRowCache&) = delete;
+  RowCache(const RowCache&) = delete;
+  RowCache& operator=(const RowCache&) = delete;
 
   /// Copies the cached row for `node` into `*out` and marks it most
   /// recently used. Returns false (leaving `*out` untouched) on a miss
   /// or when the entry fails its checksum (the entry is dropped so the
   /// caller's recompute repairs the cache).
   bool Get(std::int64_t node, std::vector<float>* out) {
-    Shard& shard = ShardFor(node);
-    MutexLock lock(shard.mu);
-    const auto it = shard.index.find(node);
-    if (it == shard.index.end()) {
+    MutexLock lock(mu_);
+    const auto it = index_.find(node);
+    if (it == index_.end()) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     if (RowCrc(it->second->row) != it->second->crc) {
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
+      lru_.erase(it->second);
+      index_.erase(it);
       corrupt_dropped_.fetch_add(1, std::memory_order_relaxed);
       misses_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     *out = it->second->row;
     hits_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
-  /// Inserts (or refreshes) the row for `node`, evicting the shard's
-  /// least-recently-used entry when the shard is full.
+  /// Inserts (or refreshes) the row for `node`, evicting the
+  /// least-recently-used entry when the cache is full.
   void Put(std::int64_t node, std::vector<float> row) {
     const std::uint32_t crc = RowCrc(row);
-    Shard& shard = ShardFor(node);
-    MutexLock lock(shard.mu);
-    const auto it = shard.index.find(node);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    MutexLock lock(mu_);
+    const auto it = index_.find(node);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
       it->second->row = std::move(row);
       it->second->crc = crc;
       return;
     }
-    shard.lru.push_front(Entry{node, std::move(row), crc});
-    shard.index.emplace(node, shard.lru.begin());
-    if (static_cast<std::int64_t>(shard.lru.size()) > per_shard_capacity_) {
-      shard.index.erase(shard.lru.back().node);
-      shard.lru.pop_back();
+    lru_.push_front(Entry{node, std::move(row), crc});
+    index_.emplace(node, lru_.begin());
+    if (static_cast<std::int64_t>(lru_.size()) > capacity_) {
+      index_.erase(lru_.back().node);
+      lru_.pop_back();
     }
   }
 
@@ -95,10 +85,9 @@ class ShardedRowCache {
   /// left stale) to plant the corruption the next Get must detect.
   /// Returns false when the node is not cached or its row is empty.
   bool CorruptEntryForTest(std::int64_t node) {
-    Shard& shard = ShardFor(node);
-    MutexLock lock(shard.mu);
-    const auto it = shard.index.find(node);
-    if (it == shard.index.end() || it->second->row.empty()) return false;
+    MutexLock lock(mu_);
+    const auto it = index_.find(node);
+    if (it == index_.end() || it->second->row.empty()) return false;
     auto* bytes = reinterpret_cast<unsigned char*>(it->second->row.data());
     bytes[0] = static_cast<unsigned char>(bytes[0] ^ 0x5a);
     return true;
@@ -107,23 +96,16 @@ class ShardedRowCache {
   /// True iff `node` is currently cached (no recency update, no
   /// checksum verification; test/debug).
   bool Contains(std::int64_t node) const {
-    const Shard& shard = ShardFor(node);
-    MutexLock lock(shard.mu);
-    return shard.index.find(node) != shard.index.end();
+    MutexLock lock(mu_);
+    return index_.find(node) != index_.end();
   }
 
-  /// Total rows currently cached, summed over shards in shard order.
+  /// Rows currently cached.
   std::int64_t Size() const {
-    std::int64_t total = 0;
-    for (const Shard& shard : shards_) {
-      MutexLock lock(shard.mu);
-      total += static_cast<std::int64_t>(shard.lru.size());
-    }
-    return total;
+    MutexLock lock(mu_);
+    return static_cast<std::int64_t>(lru_.size());
   }
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  std::int64_t per_shard_capacity() const { return per_shard_capacity_; }
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::uint64_t misses() const {
     return misses_.load(std::memory_order_relaxed);
@@ -140,32 +122,16 @@ class ShardedRowCache {
     std::uint32_t crc;
   };
 
-  struct Shard {
-    /// Per-shard lock; shards are independent and never nested, so no
-    /// cross-shard order exists (enforced by the lock-order lint rule
-    /// observing acquisitions).
-    mutable Mutex mu;
-    /// Front = most recently used. The index maps node id -> list node.
-    std::list<Entry> lru E2GCL_GUARDED_BY(mu);
-    std::unordered_map<std::int64_t, std::list<Entry>::iterator> index
-        E2GCL_GUARDED_BY(mu);
-  };
-
   static std::uint32_t RowCrc(const std::vector<float>& row) {
     return Crc32(row.data(), row.size() * sizeof(float));
   }
 
-  Shard& ShardFor(std::int64_t node) {
-    return shards_[static_cast<std::size_t>(
-        node % static_cast<std::int64_t>(shards_.size()))];
-  }
-  const Shard& ShardFor(std::int64_t node) const {
-    return shards_[static_cast<std::size_t>(
-        node % static_cast<std::int64_t>(shards_.size()))];
-  }
-
-  std::vector<Shard> shards_;
-  std::int64_t per_shard_capacity_ = 1;
+  const std::int64_t capacity_;
+  mutable Mutex mu_;
+  /// Front = most recently used. The index maps node id -> list node.
+  std::list<Entry> lru_ E2GCL_GUARDED_BY(mu_);
+  std::unordered_map<std::int64_t, std::list<Entry>::iterator> index_
+      E2GCL_GUARDED_BY(mu_);
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> corrupt_dropped_{0};

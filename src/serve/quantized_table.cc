@@ -52,15 +52,4 @@ void QuantizedEmbeddingTable::ScoreRows(const std::int8_t* queries,
   }
 }
 
-void QuantizedEmbeddingTable::ScoreAll(const std::int8_t* query,
-                                       float query_scale,
-                                       std::vector<float>* scores) const {
-  scores->resize(static_cast<std::size_t>(rows_));
-  ParallelFor(0, rows_, GrainForCost(cols_),
-              [&](std::int64_t rb, std::int64_t re) {
-                ScoreRows(query, &query_scale, 1, rb, re,
-                          scores->data() + rb);
-              });
-}
-
 }  // namespace e2gcl

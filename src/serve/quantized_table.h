@@ -21,7 +21,7 @@ namespace e2gcl {
 /// computed with exact int32 accumulation, so scores are bit-identical
 /// across SIMD backends and thread counts. The EmbeddingServer re-scores
 /// the top candidates with exact fp32 rows to recover fp32 rankings (see
-/// ServeOptions::rescore_factor).
+/// ServeOptions::quantize_int8).
 class QuantizedEmbeddingTable {
  public:
   QuantizedEmbeddingTable() = default;
@@ -55,11 +55,6 @@ class QuantizedEmbeddingTable {
   void ScoreRows(const std::int8_t* queries, const float* query_scales,
                  std::int64_t num_queries, std::int64_t row_begin,
                  std::int64_t row_end, float* out) const;
-
-  /// scores[i] = approximate dot score of one quantized query against
-  /// row i, for every row (ScoreRows over row-parallel chunks).
-  void ScoreAll(const std::int8_t* query, float query_scale,
-                std::vector<float>* scores) const;
 
   /// Resident bytes of codes + scales (the number the 4x claim is about).
   std::int64_t MemoryBytes() const {

@@ -111,8 +111,7 @@ std::shared_ptr<ModelState> BuildModelState(const Graph& graph,
   state->generation = generation;
   state->encoder = std::move(encoder);
   if (!options.precompute) {
-    state->cache = std::make_unique<ShardedRowCache>(options.cache_capacity,
-                                                     options.cache_shards);
+    state->cache = std::make_unique<RowCache>(options.cache_capacity);
   }
   if (options.precompute || options.quantize_int8) {
     // A table encoded at load must be finite: a NaN or infinite row

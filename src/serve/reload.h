@@ -59,7 +59,7 @@ struct ModelState {
   std::uint64_t generation = 0;
   std::unique_ptr<GcnEncoder> encoder;
   /// Lazy-mode row cache (nullptr in precompute mode).
-  std::unique_ptr<ShardedRowCache> cache;
+  std::unique_ptr<RowCache> cache;
   /// Full |V| x d embedding matrix; rows() == 0 until materialized
   /// (at build time in precompute mode, by the flusher on the first
   /// fp32 TopK in lazy mode). Rows are in node order until the first

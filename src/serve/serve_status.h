@@ -9,43 +9,39 @@
 namespace e2gcl {
 
 /// Typed outcome of a serving call. Every response carries one, so
-/// callers can distinguish a served answer (kOk/kDegraded) from a
-/// fast-failed one without parsing error strings. See DESIGN.md
-/// "Serving robustness model".
+/// callers can distinguish a served answer (kOk) from a fast-failed one
+/// without parsing error strings. See DESIGN.md "Serving robustness
+/// model".
 enum class ServeStatus : std::uint8_t {
-  /// Served exactly: the answer is bit-identical to the offline encode
-  /// of the response's model generation.
+  /// Served: rows and scores are bit-identical to the offline encode of
+  /// the response's model generation, and a TopK answer is the exact
+  /// fp32 ranking of its candidates (every row, or the int8 candidate
+  /// pool; see ServeOptions::quantize_int8).
   kOk = 0,
-  /// Served, but from the int8 approximate scan with the exact rescore
-  /// skipped (load shedding). Only TopKSimilar degrades, only when the
-  /// request allows it, and the response is always flagged — a degraded
-  /// answer is never silent.
-  kDegraded = 1,
   /// The request's deadline_us elapsed before the flusher served it.
   /// The caller has already been released; no result was produced.
-  kDeadlineExceeded = 2,
+  kDeadlineExceeded = 1,
   /// Admission control rejected the request at the max_queue_depth
   /// watermark. Transient: retryable.
-  kOverloaded = 3,
+  kOverloaded = 2,
   /// A checkpoint reload could not start because another reload is
   /// already in flight. Transient: retryable.
-  kReloading = 4,
+  kReloading = 3,
   /// The server is draining for shutdown and no longer admits work.
-  kShutdown = 5,
+  kShutdown = 4,
   /// The argument (e.g. a reload checkpoint) failed validation.
-  kInvalidArgument = 6,
+  kInvalidArgument = 5,
   /// Client-side only: the transport failed (connect/send/recv error,
   /// timeout, malformed or mismatched response frame). Never valid on
   /// the wire — ServeStatusFromByte rejects it, so a server cannot
   /// fabricate one.
-  kTransportError = 7,
+  kTransportError = 6,
 };
 
 /// Stable lowercase name for logs/CLI output.
 inline const char* ServeStatusName(ServeStatus status) {
   switch (status) {
     case ServeStatus::kOk: return "ok";
-    case ServeStatus::kDegraded: return "degraded";
     case ServeStatus::kDeadlineExceeded: return "deadline_exceeded";
     case ServeStatus::kOverloaded: return "overloaded";
     case ServeStatus::kReloading: return "reloading";
@@ -68,11 +64,6 @@ inline bool ServeStatusFromByte(std::uint8_t byte, ServeStatus* out) {
   return true;
 }
 
-/// True when the call produced an answer (exact or degraded).
-inline bool ServeStatusServed(ServeStatus status) {
-  return status == ServeStatus::kOk || status == ServeStatus::kDegraded;
-}
-
 /// True for rejections that a bounded retry can reasonably turn into a
 /// success. Deadline expiry is not retryable here: the deadline belongs
 /// to the caller, who must decide whether a later answer is still
@@ -88,10 +79,6 @@ struct ServeRequestOptions {
   /// have elapsed since submission (admission + queueing + compute).
   /// 0 = no deadline: block until served (the pre-robustness contract).
   std::int64_t deadline_us = 0;
-  /// Allow the server to answer this request degraded (approximate
-  /// TopK) under pressure. Callers that need the exact contract set
-  /// false and keep kOk-or-rejected semantics.
-  bool allow_degraded = true;
 };
 
 /// Query result of TopKSimilar: up to k nodes ordered by descending
@@ -110,21 +97,21 @@ struct EmbeddingResponse {
   ServeStatus status = ServeStatus::kOk;
   std::uint64_t generation = 0;
   std::vector<float> row;
-  bool served() const { return ServeStatusServed(status); }
+  bool served() const { return status == ServeStatus::kOk; }
 };
 
 struct ScoreResponse {
   ServeStatus status = ServeStatus::kOk;
   std::uint64_t generation = 0;
   float score = 0.0f;
-  bool served() const { return ServeStatusServed(status); }
+  bool served() const { return status == ServeStatus::kOk; }
 };
 
 struct TopKResponse {
   ServeStatus status = ServeStatus::kOk;
   std::uint64_t generation = 0;
   TopKResult result;
-  bool served() const { return ServeStatusServed(status); }
+  bool served() const { return status == ServeStatus::kOk; }
 };
 
 /// Bounded-retry policy for transient rejects (kOverloaded/kReloading):

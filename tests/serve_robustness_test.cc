@@ -1,6 +1,5 @@
 // Serving-path robustness: deadlines fail fast while the flusher is
-// wedged, admission control sheds load at the queue watermark, degraded
-// TopK answers are flagged and exactly the approximate-scan result,
+// wedged, admission control sheds load at the queue watermark,
 // corrupted cache rows are detected and self-repaired, shutdown drains
 // deterministically, and hot checkpoint reloads never tear an answer —
 // every response is bit-identical to the model generation it is tagged
@@ -29,7 +28,6 @@
 #include "nn/gcn.h"
 #include "obs/metrics.h"
 #include "serve/embedding_server.h"
-#include "serve/quantized_table.h"
 #include "serve/serve_status.h"
 #include "serve_test_util.h"
 #include "tensor/simd/simd.h"
@@ -250,108 +248,6 @@ TEST(ServeAdmission, OutOfRangeArgumentsAreRejectedInvalidArgument) {
   EXPECT_EQ(snap.counter("serve.requests"), 1u);
 }
 
-TEST(ServeAdmission, DegradesTopKUnderPressureToExactApproximateScan) {
-  Graph g = ServeGraph();
-  TrainerCheckpoint ckpt = MakeCheckpoint(g);
-  FlusherGate gate;
-  ServeOptions opt;
-  opt.max_batch = 1;
-  opt.quantize_int8 = true;
-  opt.rescore_factor = 4;
-  opt.degrade_watermark = 1;
-  opt.fault_injector.stall_batch = [&](std::int64_t) { gate.Block(); };
-  auto server = MakeServer(g, ckpt, opt);
-  const Matrix ref = ReferenceEmbeddings(g, ckpt);
-  const std::shared_ptr<const ModelState> state = server->state();
-
-  std::thread blocker([&] { ServedRow(*server, 0); });
-  gate.AwaitBlocked();
-  std::thread queued([&] { ServedRow(*server, 1); });
-  AwaitQueueDepth(*server, 1);
-
-  // Admitted at queue depth 1 >= degrade_watermark: served approximate.
-  constexpr std::int64_t kQuery = 7;
-  constexpr std::int64_t kK = 5;
-  std::thread degraded_client([&] {
-    TopKResponse response =
-        server->TopKSimilar(kQuery, kK, ServeRequestOptions{});
-    EXPECT_EQ(response.status, ServeStatus::kDegraded);
-    EXPECT_TRUE(response.served());
-    EXPECT_EQ(response.generation, 1u);
-
-    // A degraded answer is exactly the int8 approximate scan — computed
-    // here from the pinned generation's own table, no rescore.
-    std::vector<std::int8_t> qcodes;
-    const float qscale =
-        state->quantized.QuantizeQuery(ref.RowPtr(kQuery), &qcodes);
-    std::vector<float> approx;
-    state->quantized.ScoreAll(qcodes.data(), qscale, &approx);
-    std::vector<std::int64_t> order;
-    for (std::int64_t i = 0; i < g.num_nodes; ++i) {
-      if (i != kQuery) order.push_back(i);
-    }
-    std::partial_sort(order.begin(), order.begin() + kK, order.end(),
-                      [&](std::int64_t x, std::int64_t y) {
-                        const float sx = approx[static_cast<std::size_t>(x)];
-                        const float sy = approx[static_cast<std::size_t>(y)];
-                        if (sx != sy) return sx > sy;
-                        return x < y;
-                      });
-    ASSERT_EQ(response.result.nodes.size(), static_cast<std::size_t>(kK));
-    for (std::int64_t i = 0; i < kK; ++i) {
-      EXPECT_EQ(response.result.nodes[static_cast<std::size_t>(i)],
-                order[static_cast<std::size_t>(i)]);
-      EXPECT_EQ(response.result.scores[static_cast<std::size_t>(i)],
-                approx[static_cast<std::size_t>(
-                    order[static_cast<std::size_t>(i)])]);
-    }
-  });
-  AwaitQueueDepth(*server, 2);
-
-  gate.Release();
-  blocker.join();
-  queued.join();
-  degraded_client.join();
-
-  // Off pressure, the same request is exact again.
-  TopKResponse exact = server->TopKSimilar(kQuery, kK, ServeRequestOptions{});
-  EXPECT_EQ(exact.status, ServeStatus::kOk);
-  for (std::size_t i = 0; i < exact.result.nodes.size(); ++i) {
-    EXPECT_EQ(exact.result.scores[i],
-              simd::Dot(ref.RowPtr(kQuery), ref.RowPtr(exact.result.nodes[i]),
-                        ref.cols()));
-  }
-}
-
-TEST(ServeAdmission, DegradationRespectsAllowDegradedFalse) {
-  Graph g = ServeGraph();
-  TrainerCheckpoint ckpt = MakeCheckpoint(g);
-  FlusherGate gate;
-  ServeOptions opt;
-  opt.max_batch = 1;
-  opt.quantize_int8 = true;
-  opt.degrade_watermark = 1;
-  opt.fault_injector.stall_batch = [&](std::int64_t) { gate.Block(); };
-  auto server = MakeServer(g, ckpt, opt);
-
-  std::thread blocker([&] { ServedRow(*server, 0); });
-  gate.AwaitBlocked();
-  std::thread queued([&] { ServedRow(*server, 1); });
-  AwaitQueueDepth(*server, 1);
-
-  ServeRequestOptions exact_only;
-  exact_only.allow_degraded = false;
-  std::thread exact_client([&] {
-    EXPECT_EQ(server->TopKSimilar(7, 5, exact_only).status, ServeStatus::kOk);
-  });
-  AwaitQueueDepth(*server, 2);
-
-  gate.Release();
-  blocker.join();
-  queued.join();
-  exact_client.join();
-}
-
 // --- Retry helper. ---------------------------------------------------------
 
 TEST(RetryWithBackoff, RetriesTransientRejectionsThenSucceeds) {
@@ -541,8 +437,7 @@ TEST(ServeShutdown, DestructorNeverBlocksOnQueuedCallers) {
   std::thread blocker([&] { ServedRow(*server, 0); });
   gate.AwaitBlocked();
   std::thread queued([&] {
-    EXPECT_TRUE(ServeStatusServed(
-        server->GetEmbedding(1, ServeRequestOptions{}).status));
+    EXPECT_TRUE(server->GetEmbedding(1, ServeRequestOptions{}).served());
   });
   AwaitQueueDepth(*server, 1);
 

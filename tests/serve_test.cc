@@ -143,11 +143,11 @@ TEST(EncodeRows, CoversEveryNodeAtOnce) {
   EXPECT_TRUE(encoder.EncodeRows(adj, g.features, all) == encoder.Encode(g));
 }
 
-// --- ShardedRowCache. ------------------------------------------------------
+// --- RowCache. -------------------------------------------------------------
 
-TEST(ShardedRowCache, EvictsLeastRecentlyUsedWithinShard) {
-  // One shard, two slots: deterministic LRU order.
-  ShardedRowCache cache(2, 1);
+TEST(RowCache, EvictsLeastRecentlyUsed) {
+  // Two slots: deterministic LRU order.
+  RowCache cache(2);
   cache.Put(1, {1.0f});
   cache.Put(2, {2.0f});
   std::vector<float> row;
@@ -164,8 +164,8 @@ TEST(ShardedRowCache, EvictsLeastRecentlyUsedWithinShard) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST(ShardedRowCache, PutRefreshesExistingEntry) {
-  ShardedRowCache cache(2, 1);
+TEST(RowCache, PutRefreshesExistingEntry) {
+  RowCache cache(2);
   cache.Put(1, {1.0f});
   cache.Put(2, {2.0f});
   cache.Put(1, {1.5f});  // refresh: 2 becomes LRU
@@ -174,22 +174,6 @@ TEST(ShardedRowCache, PutRefreshesExistingEntry) {
   std::vector<float> row;
   ASSERT_TRUE(cache.Get(1, &row));
   EXPECT_EQ(row, std::vector<float>{1.5f});
-}
-
-TEST(ShardedRowCache, ShardsAreIndependent) {
-  // Capacity 4 over 2 shards -> 2 slots per shard; even/odd keys map to
-  // different shards, so 3 even inserts evict only among even keys.
-  ShardedRowCache cache(4, 2);
-  EXPECT_EQ(cache.per_shard_capacity(), 2);
-  cache.Put(0, {0.0f});
-  cache.Put(2, {2.0f});
-  cache.Put(4, {4.0f});  // evicts 0
-  cache.Put(1, {1.0f});
-  EXPECT_FALSE(cache.Contains(0));
-  EXPECT_TRUE(cache.Contains(2));
-  EXPECT_TRUE(cache.Contains(4));
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_EQ(cache.Size(), 3);
 }
 
 // --- EmbeddingServer. ------------------------------------------------------
@@ -289,7 +273,7 @@ TEST(EmbeddingServer, TopKSimilarMatchesBruteForceAndExcludesSelf) {
 
   const std::int64_t query = 31;
   const std::int64_t k = 5;
-  TopKResult got = ServedExactTopK(*server, query, k);
+  TopKResult got = ServedTopK(*server, query, k);
   ASSERT_EQ(got.nodes.size(), static_cast<std::size_t>(k));
   ASSERT_EQ(got.scores.size(), static_cast<std::size_t>(k));
 
@@ -312,7 +296,7 @@ TEST(EmbeddingServer, TopKSimilarMatchesBruteForceAndExcludesSelf) {
   }
   // k = 0 is an empty answer; k >= |V| ranks every other node.
   for (const std::int64_t edge_k : {0L, g.num_nodes, g.num_nodes + 5}) {
-    const TopKResult edge = ServedExactTopK(*server, query, edge_k);
+    const TopKResult edge = ServedTopK(*server, query, edge_k);
     ExpectRanking(edge, all, std::min<std::int64_t>(edge_k, g.num_nodes - 1));
   }
 
@@ -321,7 +305,7 @@ TEST(EmbeddingServer, TopKSimilarMatchesBruteForceAndExcludesSelf) {
   pre.precompute = true;
   auto server2 = EmbeddingServer::FromCheckpoint(g, ckpt, pre, &error);
   ASSERT_NE(server2, nullptr) << error;
-  TopKResult got2 = ServedExactTopK(*server2, query, k);
+  TopKResult got2 = ServedTopK(*server2, query, k);
   EXPECT_EQ(got.nodes, got2.nodes);
   EXPECT_EQ(got.scores, got2.scores);
 }
@@ -351,22 +335,37 @@ TEST(QuantizedEmbeddingTable, RoundTripsWithinOneQuantizationStep) {
   }
 }
 
-TEST(QuantizedEmbeddingTable, ScoreAllIsThreadCountInvariant) {
+TEST(QuantizedEmbeddingTable, ScoreRowsIsThreadCountInvariant) {
   Graph g = ServeGraph();
   TrainerCheckpoint ckpt = MakeCheckpoint(g);
   const Matrix reference = ReferenceEmbeddings(g, ckpt);
   const QuantizedEmbeddingTable table = QuantizedEmbeddingTable::Build(
       reference);
-  std::vector<std::int8_t> q;
-  const float qscale = table.QuantizeQuery(reference.RowPtr(17), &q);
-  SetNumThreads(1);
-  std::vector<float> baseline;
-  table.ScoreAll(q.data(), qscale, &baseline);
+  // Two queries scored together, as a batch's int8 scan scores them.
+  const std::int64_t n = table.rows();
+  std::vector<std::int8_t> codes;
+  std::vector<float> scales;
+  for (const std::int64_t node : {17L, 64L}) {
+    std::vector<std::int8_t> q;
+    scales.push_back(table.QuantizeQuery(reference.RowPtr(node), &q));
+    codes.insert(codes.end(), q.begin(), q.end());
+  }
+  // One serial call over every row: scores[q * n + r].
+  std::vector<float> serial(static_cast<std::size_t>(2 * n));
+  table.ScoreRows(codes.data(), scales.data(), 2, 0, n, serial.data());
   for (int threads : kThreadCounts) {
     SetNumThreads(threads);
-    std::vector<float> scores;
-    table.ScoreAll(q.data(), qscale, &scores);
-    EXPECT_EQ(scores, baseline) << "threads=" << threads;
+    std::vector<float> scores(serial.size());
+    ParallelFor(0, n, 16, [&](std::int64_t rb, std::int64_t re) {
+      std::vector<float> block(static_cast<std::size_t>(2 * (re - rb)));
+      table.ScoreRows(codes.data(), scales.data(), 2, rb, re, block.data());
+      for (std::int64_t q = 0; q < 2; ++q) {
+        std::copy(block.begin() + q * (re - rb),
+                  block.begin() + (q + 1) * (re - rb),
+                  scores.begin() + q * n + rb);
+      }
+    });
+    EXPECT_EQ(scores, serial) << "threads=" << threads;
   }
   SetNumThreads(1);
 }
@@ -379,7 +378,7 @@ TEST(EmbeddingServer, QuantizedTopKWithRescoreMatchesFp32Exactly) {
   auto exact_server = EmbeddingServer::FromCheckpoint(g, ckpt, fp32, &error);
   ASSERT_NE(exact_server, nullptr) << error;
   ServeOptions quant;
-  quant.quantize_int8 = true;  // default rescore_factor = 4
+  quant.quantize_int8 = true;  // rescores a pool of min(4k, |V| - 1)
   auto quant_server = EmbeddingServer::FromCheckpoint(g, ckpt, quant, &error);
   ASSERT_NE(quant_server, nullptr) << error;
   EXPECT_FALSE(quant_server->quantized().empty());
@@ -389,8 +388,8 @@ TEST(EmbeddingServer, QuantizedTopKWithRescoreMatchesFp32Exactly) {
   // here (the true top-k comfortably survives into the k*4 candidate
   // pool on this fixture).
   for (std::int64_t query : {0L, 17L, 31L, 64L, 119L}) {
-    const TopKResult want = ServedExactTopK(*exact_server, query, 5);
-    const TopKResult got = ServedExactTopK(*quant_server, query, 5);
+    const TopKResult want = ServedTopK(*exact_server, query, 5);
+    const TopKResult got = ServedTopK(*quant_server, query, 5);
     EXPECT_EQ(got.nodes, want.nodes) << "query " << query;
     EXPECT_EQ(got.scores, want.scores) << "query " << query;
   }
@@ -398,8 +397,8 @@ TEST(EmbeddingServer, QuantizedTopKWithRescoreMatchesFp32Exactly) {
   // is the full fp32 ranking.
   const std::int64_t query = 31;
   for (const std::int64_t k : {0L, g.num_nodes, g.num_nodes + 5}) {
-    const TopKResult want = ServedExactTopK(*exact_server, query, k);
-    const TopKResult got = ServedExactTopK(*quant_server, query, k);
+    const TopKResult want = ServedTopK(*exact_server, query, k);
+    const TopKResult got = ServedTopK(*quant_server, query, k);
     EXPECT_EQ(got.nodes.size(),
               static_cast<std::size_t>(
                   std::min<std::int64_t>(k, g.num_nodes - 1)))
@@ -408,46 +407,6 @@ TEST(EmbeddingServer, QuantizedTopKWithRescoreMatchesFp32Exactly) {
         << "k " << k;
     EXPECT_EQ(got.nodes, want.nodes) << "k " << k;
     EXPECT_EQ(got.scores, want.scores) << "k " << k;
-  }
-}
-
-TEST(EmbeddingServer, QuantizedTopKWithoutRescoreRanksByApproxScores) {
-  Graph g = ServeGraph();
-  TrainerCheckpoint ckpt = MakeCheckpoint(g);
-  const Matrix reference = ReferenceEmbeddings(g, ckpt);
-  ServeOptions quant;
-  quant.quantize_int8 = true;
-  quant.rescore_factor = 0;  // approximate scores straight from int8
-  std::string error;
-  auto server = EmbeddingServer::FromCheckpoint(g, ckpt, quant, &error);
-  ASSERT_NE(server, nullptr) << error;
-
-  const std::int64_t query = 31;
-  const TopKResult got = ServedExactTopK(*server, query, 5);
-  ASSERT_EQ(got.nodes.size(), 5u);
-  // Reproduce the approximate scan out-of-process.
-  const QuantizedEmbeddingTable table = QuantizedEmbeddingTable::Build(
-      reference);
-  std::vector<std::int8_t> q;
-  const float qscale = table.QuantizeQuery(reference.RowPtr(query), &q);
-  std::vector<float> approx;
-  table.ScoreAll(q.data(), qscale, &approx);
-  std::vector<std::pair<float, std::int64_t>> all;
-  for (std::int64_t i = 0; i < g.num_nodes; ++i) {
-    if (i != query) all.push_back({approx[static_cast<std::size_t>(i)], i});
-  }
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  });
-  for (std::size_t i = 0; i < 5u; ++i) {
-    EXPECT_EQ(got.nodes[i], all[i].second) << "rank " << i;
-    EXPECT_EQ(got.scores[i], all[i].first) << "rank " << i;
-  }
-  // k = 0 is an empty answer; k >= |V| ranks every other node.
-  for (const std::int64_t k : {0L, g.num_nodes, g.num_nodes + 5}) {
-    ExpectRanking(ServedExactTopK(*server, query, k), all,
-                  std::min<std::int64_t>(k, g.num_nodes - 1));
   }
 }
 
@@ -627,9 +586,7 @@ TEST(EmbeddingServer, BatchedAnswersEqualSoloAnswers) {
   GcnEncoder encoder(ScanEncoderConfig(g), rng);
   encoder.params().LoadValues(ckpt.encoder_params);
   const Matrix reference = encoder.Encode(g);
-  // Repeated and distinct nodes, both slabs, k from 0 past |V|. The
-  // first request is a TopK: under degrade_watermark 1 it is admitted at
-  // queue depth 0 and rescored, while the later TopKs are degraded.
+  // Repeated and distinct nodes, both slabs, k from 0 past |V|.
   const std::vector<Query> queries = {
       {Query::kTopK, 17, 10},       {Query::kRow, 17, 0},
       {Query::kTopK, 17, 10},       {Query::kTopK, 17, 0},
@@ -638,30 +595,18 @@ TEST(EmbeddingServer, BatchedAnswersEqualSoloAnswers) {
       {Query::kRow, 4095, 0},       {Query::kTopK, 4095, 10},
       {Query::kScore, 3, n - 1},    {Query::kTopK, 2500, 10},
   };
-  struct Path {
-    const char* name;
-    bool int8;
-    std::int64_t rescore_factor;
-    std::int64_t degrade_watermark;
-  };
-  const Path paths[] = {{"fp32", false, 4, 0},
-                        {"int8", true, 4, 0},
-                        {"int8_approx", true, 0, 0},
-                        {"degraded", true, 4, 1}};
   for (int threads : kThreadCounts) {
     SetNumThreads(threads);
     for (bool precompute : {false, true}) {
-      for (const Path& path : paths) {
-        SCOPED_TRACE(std::string(path.name) + " precompute=" +
+      for (bool int8 : {false, true}) {
+        SCOPED_TRACE(std::string(int8 ? "int8" : "fp32") + " precompute=" +
                      std::to_string(precompute) +
                      " threads=" + std::to_string(threads));
         FlusherGate gate;
         std::vector<std::int64_t> batch_sizes;  // flusher-written
         ServeOptions opt;
         opt.precompute = precompute;
-        opt.quantize_int8 = path.int8;
-        opt.rescore_factor = path.rescore_factor;
-        opt.degrade_watermark = path.degrade_watermark;
+        opt.quantize_int8 = int8;
         opt.fault_injector.stall_batch = [&](std::int64_t size) {
           batch_sizes.push_back(size);
           if (batch_sizes.size() == 1) gate.Block();
@@ -669,14 +614,6 @@ TEST(EmbeddingServer, BatchedAnswersEqualSoloAnswers) {
         std::string error;
         auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
         ASSERT_NE(server, nullptr) << error;
-        // A degraded answer is the int8 approximate scan's answer.
-        ServeOptions approx_opt = opt;
-        approx_opt.rescore_factor = 0;
-        approx_opt.degrade_watermark = 0;
-        approx_opt.fault_injector = {};
-        auto approx = EmbeddingServer::FromCheckpoint(g, ckpt, approx_opt,
-                                                      &error);
-        ASSERT_NE(approx, nullptr) << error;
 
         // The blocker holds the flusher while the batch queues behind it.
         std::future<Answer> blocker = Send(*server, {Query::kRow, 0, 0});
@@ -692,36 +629,22 @@ TEST(EmbeddingServer, BatchedAnswersEqualSoloAnswers) {
 
         for (std::size_t i = 0; i < queries.size(); ++i) {
           const Query& q = queries[i];
-          const bool degraded = path.degrade_watermark > 0 &&
-                                q.kind == Query::kTopK && i > 0;
-          const Answer solo = Send(degraded ? *approx : *server, q).get();
+          const Answer solo = Send(*server, q).get();
           EXPECT_EQ(solo.status, ServeStatus::kOk) << "query " << i;
-          EXPECT_EQ(got[i].status,
-                    degraded ? ServeStatus::kDegraded : ServeStatus::kOk)
-              << "query " << i;
+          EXPECT_EQ(got[i].status, ServeStatus::kOk) << "query " << i;
           EXPECT_EQ(got[i].nodes, solo.nodes) << "query " << i;
           EXPECT_EQ(got[i].bits, solo.bits) << "query " << i;
           if (q.kind != Query::kTopK) continue;
           EXPECT_EQ(static_cast<std::int64_t>(got[i].nodes.size()),
                     std::min(q.b, n - 1))
               << "query " << i;
-          // Unbatched, unslabbed references where the answer has one:
-          // the fp32 scan and the approximate int8 scan.
+          // The unbatched, unslabbed fp32 scan is the fp32 path's
+          // reference; the int8 pool may miss a true top-k row.
+          if (int8) continue;
           std::vector<float> scores;
-          if (!path.int8) {
-            for (std::int64_t v = 0; v < n; ++v) {
-              scores.push_back(simd::Dot(reference.RowPtr(q.a),
-                                         reference.RowPtr(v),
-                                         reference.cols()));
-            }
-          } else if (path.rescore_factor == 0 || degraded) {
-            const QuantizedEmbeddingTable& table = server->quantized();
-            std::vector<std::int8_t> codes;
-            const float scale =
-                table.QuantizeQuery(reference.RowPtr(q.a), &codes);
-            table.ScoreAll(codes.data(), scale, &scores);
-          } else {
-            continue;
+          for (std::int64_t v = 0; v < n; ++v) {
+            scores.push_back(simd::Dot(reference.RowPtr(q.a),
+                                       reference.RowPtr(v), reference.cols()));
           }
           const TopKResult want = SortedTopK(scores, q.a, q.b);
           EXPECT_EQ(solo.nodes, want.nodes) << "query " << i;
@@ -789,7 +712,6 @@ TEST(EmbeddingServer, LruCacheEvictsButServesCorrectRows) {
   const Matrix reference = ReferenceEmbeddings(g, ckpt);
   ServeOptions opt;
   opt.cache_capacity = 4;
-  opt.cache_shards = 2;
   opt.max_batch = 1;
   std::string error;
   auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
@@ -843,7 +765,7 @@ TEST(EmbeddingServer, ConcurrentMixedClientsSeeConsistentResults) {
             break;
           }
           default: {
-            TopKResult r = ServedExactTopK(*server, node, 3);
+            TopKResult r = ServedTopK(*server, node, 3);
             if (r.nodes.size() != 3u) ++failures[c];
             break;
           }
@@ -1452,7 +1374,7 @@ TEST(EmbeddingServer, RecordsRowsScoredPerQuery) {
     auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
     ASSERT_NE(server, nullptr) << error;
     MetricsRegistry::Get().ResetValuesForTest();
-    for (const std::int64_t node : nodes) ServedExactTopK(*server, node, 10);
+    for (const std::int64_t node : nodes) ServedTopK(*server, node, 10);
     const std::uint64_t scored =
         MetricsRegistry::Get().Snapshot().counter("serve.topk.rows_scored");
     if (table == &flat) {

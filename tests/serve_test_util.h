@@ -14,9 +14,9 @@
 
 namespace e2gcl {
 
-// Blocking, exact-only requests through the status-typed EmbeddingServer
-// API, for tests that need the served value: a request the server does
-// not answer kOk fails the calling test. EXPECT rather than ASSERT, so
+// Blocking requests through the status-typed EmbeddingServer API, for
+// tests that need the served value: a request the server does not
+// answer kOk fails the calling test. EXPECT rather than ASSERT, so
 // client threads may call them too.
 
 inline std::vector<float> ServedRow(EmbeddingServer& server,
@@ -35,12 +35,9 @@ inline float ServedScore(EmbeddingServer& server, std::int64_t u,
   return r.score;
 }
 
-/// TopK on the exact path only: never answered degraded.
-inline TopKResult ServedExactTopK(EmbeddingServer& server, std::int64_t node,
-                                  std::int64_t k) {
-  ServeRequestOptions exact;
-  exact.allow_degraded = false;
-  TopKResponse r = server.TopKSimilar(node, k, exact);
+inline TopKResult ServedTopK(EmbeddingServer& server, std::int64_t node,
+                             std::int64_t k) {
+  TopKResponse r = server.TopKSimilar(node, k, ServeRequestOptions{});
   EXPECT_EQ(r.status, ServeStatus::kOk)
       << ServeStatusName(r.status) << " for node " << node;
   return std::move(r.result);

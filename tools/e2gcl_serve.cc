@@ -8,8 +8,8 @@
 //
 // The server path is the same one the tests and bench_serve exercise:
 // queries flow through the micro-batching queue and (in lazy mode) the
-// sharded LRU row cache, and answers are bit-identical to the offline
-// Encode() rows.
+// LRU row cache, and answers are bit-identical to the offline Encode()
+// rows.
 
 #include <csignal>
 
@@ -51,22 +51,16 @@ void Usage(const char* prog) {
       "  --precompute             materialize all embeddings at load time\n"
       "  --cache-capacity <int>   lazy-mode row cache budget (default "
       "4096)\n"
-      "  --cache-shards <int>     cache shard count (default 8)\n"
       "  --max-batch <int>        micro-batch size bound (default 32)\n"
       "  --quantize-int8          serve TopKSimilar from a 4x-smaller "
-      "int8 table\n"
-      "  --rescore-factor <int>   exact-rescore pool = k * this "
-      "(>= 1; default 4)\n"
+      "int8 table (exact rescore of a 4k candidate pool)\n"
       "  --fingerprint <uint64>   refuse checkpoints with a different "
       "config fingerprint\n"
       "robustness:\n"
       "  --max-queue-depth <int>  admission watermark; requests beyond it "
       "fail fast as overloaded (default 4096)\n"
-      "  --degrade-watermark <int> answer TopK approximately (flagged "
-      "degraded) at this queue depth; 0 = off, needs --quantize-int8\n"
       "  --request-deadline-us <int> per-query deadline; expired queries "
       "fail fast as deadline_exceeded (0 = wait; default 0)\n"
-      "  --no-degraded            never accept degraded TopK answers\n"
       "network (see DESIGN.md \"Network protocol\"):\n"
       "  --listen <port>          serve the binary protocol + HTTP "
       "/healthz,/metrics over TCP until SIGINT/SIGTERM (port 0 = "
@@ -120,7 +114,6 @@ int main(int argc, char** argv) {
   long long epochs = 20;
   bool stats = false;
   long long deadline_us = 0;
-  bool allow_degraded = true;
   e2gcl::ServeOptions options;
   std::vector<Query> queries;
   long long listen_port = -1;  // -1 = no --listen
@@ -149,30 +142,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-capacity" &&
                ParseInt(next(), 1, (1ll << 40), &v)) {
       options.cache_capacity = v;
-    } else if (arg == "--cache-shards" && ParseInt(next(), 1, 4096, &v)) {
-      options.cache_shards = static_cast<int>(v);
     } else if (arg == "--max-batch" && ParseInt(next(), 1, 100000, &v)) {
       options.max_batch = v;
     } else if (arg == "--quantize-int8") {
       options.quantize_int8 = true;
-    } else if (arg == "--rescore-factor") {
-      if (!ParseInt(next(), -100000, 100000, &v) || v < 1) {
-        std::fprintf(stderr, "--rescore-factor must be an integer >= 1\n");
-        Usage(argv[0]);
-        return 2;
-      }
-      options.rescore_factor = v;
     } else if (arg == "--max-queue-depth" &&
                ParseInt(next(), 1, (1ll << 40), &v)) {
       options.max_queue_depth = v;
-    } else if (arg == "--degrade-watermark" &&
-               ParseInt(next(), 0, (1ll << 40), &v)) {
-      options.degrade_watermark = v;
     } else if (arg == "--request-deadline-us" &&
                ParseInt(next(), 0, (1ll << 40), &v)) {
       deadline_us = v;
-    } else if (arg == "--no-degraded") {
-      allow_degraded = false;
     } else if (arg == "--reload-checkpoint") {
       const char* path = next();
       if (path == nullptr || *path == '\0') {
@@ -251,13 +230,6 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
-  if (options.degrade_watermark > 0 && !options.quantize_int8) {
-    std::fprintf(stderr,
-                 "--degrade-watermark requires --quantize-int8 (degraded "
-                 "answers come from the int8 table)\n");
-    Usage(argv[0]);
-    return 2;
-  }
 
   const e2gcl::Graph graph =
       e2gcl::LoadDatasetScaled(dataset, scale, seed);
@@ -321,7 +293,6 @@ int main(int argc, char** argv) {
 
   e2gcl::ServeRequestOptions request;
   request.deadline_us = deadline_us;
-  request.allow_degraded = allow_degraded;
   // A refused query prints its typed status; an invalid one (a node id
   // out of range) also fails the run.
   int exit_code = 0;
@@ -360,9 +331,7 @@ int main(int argc, char** argv) {
                       refused(r.status));
           break;
         }
-        std::printf("topk %lld (k=%lld)%s:", q.a, q.b,
-                    r.status == e2gcl::ServeStatus::kDegraded ? " [degraded]"
-                                                              : "");
+        std::printf("topk %lld (k=%lld):", q.a, q.b);
         for (std::size_t i = 0; i < r.result.nodes.size(); ++i) {
           std::printf(" %lld=%.6g",
                       static_cast<long long>(r.result.nodes[i]),
