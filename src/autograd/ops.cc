@@ -191,21 +191,6 @@ Var Sigmoid(const Var& a) {
   });
 }
 
-Var Tanh(const Var& a) {
-  Matrix value = a.value();
-  for (std::int64_t i = 0; i < value.size(); ++i) {
-    value.data()[i] = std::tanh(value.data()[i]);
-  }
-  return MakeNode(std::move(value), {a}, [](Node& n) {
-    Matrix g = n.grad;
-    for (std::int64_t i = 0; i < g.size(); ++i) {
-      const float y = n.value.data()[i];
-      g.data()[i] *= 1.0f - y * y;
-    }
-    n.parents[0]->AccumulateGrad(g);
-  });
-}
-
 Var Exp(const Var& a) {
   Matrix value = a.value();
   for (std::int64_t i = 0; i < value.size(); ++i) {

@@ -42,7 +42,6 @@ Var Relu(const Var& a);
 Var PRelu(const Var& a, const Var& slope);
 
 Var Sigmoid(const Var& a);
-Var Tanh(const Var& a);
 Var Exp(const Var& a);
 
 /// Natural log; inputs must be positive.

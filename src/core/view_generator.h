@@ -44,11 +44,13 @@ struct ViewConfig {
 /// Locality-preserved positive-view generator (Sec. IV, Alg. 3).
 ///
 /// Two modes:
-///  * GenerateGlobalView(): one whole-graph view per call. Every node's
-///    neighborhood is re-sampled once; the L-hop subgraph of any root in
-///    the result coincides with the per-root construction of Alg. 3 (a
-///    GCN only sees the root's L-hop ego-net), so this is the batched
-///    equivalent used for training.
+///  * GenerateGlobalView(): one whole-graph view per call, used for
+///    training. Every node's neighborhood is re-sampled once and every
+///    sampled pair becomes an undirected edge, so a node is also
+///    adjacent to each node that sampled it. A root's L-hop ego-net in
+///    the result is therefore a superset of its per-root view of Alg. 3,
+///    which holds only the edges its own frontier sampled: a deviation
+///    from Alg. 3 (DESIGN.md "Batched view generation").
 ///  * GeneratePerNodeView(): the literal per-root L-hop construction of
 ///    Alg. 3, used by tests and view-quality analysis.
 class ViewGenerator {

@@ -1,62 +1,10 @@
 #include "eval/io.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
-#include <vector>
 
 #include "io/serialize.h"
 
 namespace e2gcl {
-
-namespace {
-
-// Upper bound on header-declared node counts: a malformed or hostile
-// header must not drive multi-gigabyte allocations in BuildGraph.
-constexpr std::int64_t kMaxNodes = 100'000'000;
-
-/// Strict float parse: the whole (whitespace-trimmed) token must be a
-/// finite-syntax number; "", "abc", "1.5x" all fail.
-bool ParseFloatToken(const std::string& token, float* out) {
-  const char* begin = token.c_str();
-  while (*begin != '\0' && std::isspace(static_cast<unsigned char>(*begin))) {
-    ++begin;
-  }
-  if (*begin == '\0') return false;
-  char* end = nullptr;
-  const float value = std::strtof(begin, &end);
-  if (end == begin) return false;
-  while (*end != '\0' && std::isspace(static_cast<unsigned char>(*end))) {
-    ++end;
-  }
-  if (*end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-/// Strict int64 parse with the same whole-token contract.
-bool ParseInt64Token(const std::string& token, std::int64_t* out) {
-  const char* begin = token.c_str();
-  while (*begin != '\0' && std::isspace(static_cast<unsigned char>(*begin))) {
-    ++begin;
-  }
-  if (*begin == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(begin, &end, 10);
-  if (end == begin || errno == ERANGE) return false;
-  while (*end != '\0' && std::isspace(static_cast<unsigned char>(*end))) {
-    ++end;
-  }
-  if (*end != '\0') return false;
-  *out = static_cast<std::int64_t>(value);
-  return true;
-}
-
-}  // namespace
 
 bool SaveMatrixCsv(const Matrix& m, const std::string& path) {
   // Rendered in memory, then written atomically (tmp + fsync + rename)
@@ -71,92 +19,6 @@ bool SaveMatrixCsv(const Matrix& m, const std::string& path) {
     out << '\n';
   }
   return WriteFileAtomic(path, out.str());
-}
-
-bool LoadMatrixCsv(const std::string& path, Matrix* out) {
-  std::ifstream in(path);
-  if (!in || out == nullptr) return false;
-  std::vector<std::vector<float>> rows;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF
-    if (line.empty()) continue;
-    std::vector<float> row;
-    std::stringstream ss(line);
-    std::string cell;
-    while (std::getline(ss, cell, ',')) {
-      float value = 0.0f;
-      if (!ParseFloatToken(cell, &value)) return false;  // non-numeric cell
-      row.push_back(value);
-    }
-    if (row.empty()) return false;  // e.g. a line of bare commas
-    if (!rows.empty() && row.size() != rows.front().size()) {
-      return false;  // ragged row
-    }
-    rows.push_back(std::move(row));
-  }
-  *out = Matrix::FromRows(rows);
-  return true;
-}
-
-bool SaveGraphEdgeList(const Graph& g, const std::string& path) {
-  std::ostringstream out;
-  out << g.num_nodes << ' ' << g.num_classes << '\n';
-  for (const auto& [u, v] : UndirectedEdges(g)) {
-    out << u << ' ' << v << '\n';
-  }
-  if (!g.labels.empty()) {
-    out << "labels\n";
-    for (std::int64_t y : g.labels) out << y << '\n';
-  }
-  return WriteFileAtomic(path, out.str());
-}
-
-bool LoadGraphEdgeList(const std::string& path, Graph* out) {
-  std::ifstream in(path);
-  if (!in || out == nullptr) return false;
-
-  std::string tok_n, tok_classes;
-  if (!(in >> tok_n >> tok_classes)) return false;
-  std::int64_t n = 0, classes = 0;
-  if (!ParseInt64Token(tok_n, &n) || !ParseInt64Token(tok_classes, &classes)) {
-    return false;
-  }
-  // Reject negative and oversized headers before any allocation.
-  if (n < 0 || n > kMaxNodes || classes < 0 || classes > kMaxNodes) {
-    return false;
-  }
-
-  std::vector<std::pair<std::int64_t, std::int64_t>> edges;
-  std::vector<std::int64_t> labels;
-  std::string tok;
-  bool saw_labels = false;
-  while (in >> tok) {
-    if (tok == "labels") {
-      saw_labels = true;
-      break;
-    }
-    std::int64_t u = 0, v = 0;
-    std::string tok_v;
-    if (!ParseInt64Token(tok, &u)) return false;
-    if (!(in >> tok_v) || !ParseInt64Token(tok_v, &v)) return false;
-    // Out-of-range endpoints would abort in BuildGraph; fail instead.
-    if (u < 0 || u >= n || v < 0 || v >= n) return false;
-    edges.emplace_back(u, v);
-  }
-  if (saw_labels) {
-    if (classes <= 0) return false;  // labels require a class count
-    labels.reserve(n);
-    for (std::int64_t i = 0; i < n; ++i) {
-      std::int64_t y = 0;
-      if (!(in >> tok) || !ParseInt64Token(tok, &y)) return false;
-      if (y < 0 || y >= classes) return false;
-      labels.push_back(y);
-    }
-    if (in >> tok) return false;  // trailing garbage after the labels
-  }
-  *out = BuildGraph(n, edges, Matrix(), std::move(labels), classes);
-  return true;
 }
 
 }  // namespace e2gcl

@@ -3,36 +3,15 @@
 
 #include <string>
 
-#include "graph/graph.h"
 #include "tensor/matrix.h"
 
 namespace e2gcl {
 
-/// Simple text I/O so embeddings/graphs round-trip to disk for external
-/// analysis (plotting, downstream models). All functions return false on
-/// I/O failure (no exceptions). Loaders validate their input strictly —
-/// ragged rows, non-numeric tokens, out-of-range node ids or labels, and
-/// negative/oversized headers all return false rather than aborting or
-/// invoking undefined behaviour.
-
-/// Writes a matrix as comma-separated rows.
+/// Writes a matrix as comma-separated rows (default stream formatting:
+/// six significant digits), so embeddings can be read by external
+/// analysis (plotting, downstream models). Written atomically; returns
+/// false on I/O failure (no exceptions).
 bool SaveMatrixCsv(const Matrix& m, const std::string& path);
-
-/// Reads a CSV written by SaveMatrixCsv (rectangular, numeric).
-/// On success stores into `out` and returns true.
-bool LoadMatrixCsv(const std::string& path, Matrix* out);
-
-/// Writes the graph as a header line "num_nodes num_classes" followed by
-/// one "u v" line per undirected edge, then (if present) a "labels"
-/// sentinel and one label per node. Features are saved separately via
-/// SaveMatrixCsv.
-bool SaveGraphEdgeList(const Graph& g, const std::string& path);
-
-/// Reads a graph written by SaveGraphEdgeList (features left empty).
-/// Requires node ids in [0, num_nodes), exactly num_nodes labels in
-/// [0, num_classes) when the labels sentinel is present, and no trailing
-/// garbage.
-bool LoadGraphEdgeList(const std::string& path, Graph* out);
 
 }  // namespace e2gcl
 

@@ -70,24 +70,4 @@ bool Adam::LoadState(const AdamState& state) {
   return true;
 }
 
-Sgd::Sgd(std::vector<Var> params, float lr, float weight_decay)
-    : params_(std::move(params)), lr_(lr), weight_decay_(weight_decay) {
-  for (const Var& p : params_) E2GCL_CHECK(p.defined() && p.requires_grad());
-}
-
-void Sgd::Step() {
-  for (Var& p : params_) {
-    Matrix& w = p.mutable_value();
-    const Matrix& g = p.grad();
-    if (g.empty()) continue;
-    for (std::int64_t j = 0; j < w.size(); ++j) {
-      w.data()[j] -= lr_ * (g.data()[j] + weight_decay_ * w.data()[j]);
-    }
-  }
-}
-
-void Sgd::ZeroGrad() {
-  for (Var& p : params_) p.ZeroGrad();
-}
-
 }  // namespace e2gcl

@@ -58,20 +58,6 @@ class Adam {
   std::int64_t t_ = 0;
 };
 
-/// Plain SGD with optional L2 weight decay (used by DeepWalk's SGNS).
-class Sgd {
- public:
-  Sgd(std::vector<Var> params, float lr, float weight_decay = 0.0f);
-
-  void Step();
-  void ZeroGrad();
-
- private:
-  std::vector<Var> params_;
-  float lr_;
-  float weight_decay_;
-};
-
 }  // namespace e2gcl
 
 #endif  // E2GCL_NN_OPTIM_H_

@@ -398,7 +398,9 @@ EmbeddingServer::EmbeddingServer(const Graph& graph,
                                  std::shared_ptr<ModelState> state,
                                  const ServeOptions& options)
     : graph_(&graph),
-      adj_(NormalizedAdjacency(graph)),
+      adj_(options.precompute ? nullptr
+                              : std::make_shared<const CsrMatrix>(
+                                    NormalizedAdjacency(graph))),
       options_(options),
       state_(std::move(state)) {
   E2GCL_CHECK(options_.max_batch >= 1);
@@ -771,7 +773,7 @@ void EmbeddingServer::ServeTopK(ModelState& state,
       continue;
     }
     // Exact fp32 rescore of the candidate pool: fetch the candidates'
-    // fp32 rows through the normal cache/precompute path (one
+    // fp32 rows through FetchRows (the table, or the cache plus one
     // frontier-batched EncodeRows for the misses) and rank by exact dot
     // score. As long as the true top-k survives into the pool, the
     // result matches the fp32 scan exactly — rows, scores, and
@@ -790,8 +792,10 @@ void EmbeddingServer::ServeTopK(ModelState& state,
 std::vector<std::vector<float>> EmbeddingServer::FetchRows(
     ModelState& state, const std::vector<std::int64_t>& nodes) {
   std::vector<std::vector<float>> rows(nodes.size());
-  if (options_.precompute) {
-    // Once the first fp32 TopK has sorted the table, node v's row moved.
+  if (state.full.rows() > 0) {
+    // The generation holds its table: precomputed at build, or
+    // materialized by a lazy generation's first fp32 TopK. Once the
+    // first fp32 TopK has sorted it, node v's row moved.
     const bool sorted = !state.row_of.empty();
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const float* r = state.full.RowPtr(
@@ -801,6 +805,7 @@ std::vector<std::vector<float>> EmbeddingServer::FetchRows(
     }
     return rows;
   }
+  // No table yet: a lazy generation computes rows behind its cache.
   RowCache& cache = *state.cache;
   const std::uint64_t corrupt_before = cache.corrupt_dropped();
   std::vector<std::int64_t> missing;
@@ -819,7 +824,7 @@ std::vector<std::vector<float>> EmbeddingServer::FetchRows(
     // `missing` is sorted (nodes is), so one EncodeRows call computes all
     // cold rows over a single shared frontier.
     const Matrix computed =
-        state.encoder->EncodeRows(adj_, graph_->features, missing);
+        state.encoder->EncodeRows(*adj_, graph_->features, missing);
     RecordRowsComputed(static_cast<std::int64_t>(missing.size()));
     for (std::size_t j = 0; j < missing.size(); ++j) {
       const float* r = computed.RowPtr(static_cast<std::int64_t>(j));
@@ -840,16 +845,19 @@ const Matrix& EmbeddingServer::SortedEmbeddings(ModelState& state) {
   // generation: a lookup-only server never pays for either. Only the
   // flusher thread reads or writes these members, so no lock is needed.
   if (state.full.rows() == 0) {
-    state.full = state.encoder->Encode(*graph_);
+    // What Encode() computes, over the A_n this lazy server already holds.
+    Rng rng(0);  // Dropout is off; the rng is unused.
+    state.full = state.encoder
+                     ->Forward(adj_, Var::Constant(graph_->features), rng,
+                               /*training=*/false)
+                     .value();
   }
   if (state.order.ids.empty()) {
     state.order = SortRowsByNorm(&state.full);
-    if (options_.precompute) {
-      state.row_of.resize(state.order.ids.size());
-      for (std::size_t r = 0; r < state.order.ids.size(); ++r) {
-        state.row_of[static_cast<std::size_t>(state.order.ids[r])] =
-            static_cast<std::int32_t>(r);
-      }
+    state.row_of.resize(state.order.ids.size());
+    for (std::size_t r = 0; r < state.order.ids.size(); ++r) {
+      state.row_of[static_cast<std::size_t>(state.order.ids[r])] =
+          static_cast<std::int32_t>(r);
     }
   }
   return state.full;

@@ -28,7 +28,10 @@ namespace e2gcl {
 struct ServeOptions {
   /// Precompute every node's embedding at load time (O(1) reads, |V| x d
   /// resident memory) instead of computing L-hop frontiers lazily behind
-  /// the row cache. Both modes return bit-identical rows.
+  /// the row cache. Only a lazy server holds the normalized adjacency it
+  /// computes rows over; a lazy generation's first fp32 TopK materializes
+  /// its table, which then serves every row. Both modes return
+  /// bit-identical rows.
   bool precompute = false;
   /// Row budget of the lazy-mode LRU cache (see RowCache).
   std::int64_t cache_capacity = 4096;
@@ -128,7 +131,8 @@ std::int64_t ScanNormOrdered(const Matrix& table, const NormOrder& order,
 /// Three APIs — GetEmbedding, ScoreLink (dot score of the two rows, the
 /// deployable analogue of the Hadamard link probe), TopKSimilar — all
 /// funnel through a micro-batching queue drained by a single flusher
-/// thread; the flusher computes missing rows in one frontier-batched
+/// thread; the flusher reads rows from the generation's table when it
+/// holds one, else computes the cache's misses in one frontier-batched
 /// GcnEncoder::EncodeRows call per batch (riding the global thread
 /// pool), scores every TopK request of the batch in one pass over the
 /// table, and completes each request through its callback. Any number
@@ -285,13 +289,15 @@ class EmbeddingServer {
   /// Serves one popped batch (runs on the flusher thread, outside mu_).
   /// Every request in the batch is pinned to the same generation.
   void ProcessBatch(const std::vector<std::unique_ptr<Request>>& batch);
-  /// Rows for sorted-unique `nodes`, aligned with `nodes` — cache/lazy
-  /// or precomputed, depending on the mode.
+  /// Rows for sorted-unique `nodes`, aligned with `nodes`: read from the
+  /// generation's table when it holds one (through row_of once sorted),
+  /// else from its row cache, the misses computed by one EncodeRows call.
   std::vector<std::vector<float>> FetchRows(
       ModelState& state, const std::vector<std::int64_t>& nodes);
   /// The generation's full |V| x d embedding matrix in norm order
-  /// (precomputed, or materialized on the first fp32 TopK in lazy mode;
-  /// sorted in place on the first fp32 TopK in either mode).
+  /// (precomputed, or materialized on a lazy generation's first fp32
+  /// TopK by one forward pass over adj_; sorted in place, and row_of
+  /// built, on the first fp32 TopK in either mode).
   const Matrix& SortedEmbeddings(ModelState& state);
   /// Serves a batch's TopK requests, whose query rows are `queries`
   /// (row q for batch[q]), in one pass over the table: the norm-ordered
@@ -301,7 +307,10 @@ class EmbeddingServer {
                  const Matrix& queries);
 
   const Graph* graph_;
-  CsrMatrix adj_;
+  /// The normalized adjacency A_n rows are computed over; held only by a
+  /// lazy server (nullptr in precompute mode, whose generations are built
+  /// with their tables).
+  std::shared_ptr<const CsrMatrix> adj_;
   ServeOptions options_;
 
   mutable Mutex mu_;

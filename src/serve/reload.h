@@ -58,18 +58,19 @@ struct ModelState {
   /// `generation` field.
   std::uint64_t generation = 0;
   std::unique_ptr<GcnEncoder> encoder;
-  /// Lazy-mode row cache (nullptr in precompute mode).
+  /// Lazy-mode row cache (nullptr in precompute mode). Rows come from it
+  /// only while `full` is empty.
   std::unique_ptr<RowCache> cache;
   /// Full |V| x d embedding matrix; rows() == 0 until materialized
   /// (at build time in precompute mode, by the flusher on the first
-  /// fp32 TopK in lazy mode). Rows are in node order until the first
-  /// fp32 TopK sorts them by norm, and in `order` after.
+  /// fp32 TopK in lazy mode). Once it exists it serves every row. Rows
+  /// are in node order until the first fp32 TopK sorts them by norm,
+  /// and in `order` after.
   Matrix full;
   /// The order of `full`'s rows once sorted; empty until then.
   NormOrder order;
-  /// Precompute mode, once `full` is sorted: row_of[v] is the row of
-  /// `full` holding node v. Empty otherwise; lazy mode reads `full` only
-  /// to scan it.
+  /// Once `full` is sorted: row_of[v] is the row of `full` holding node
+  /// v. Empty until then.
   std::vector<std::int32_t> row_of;
   /// Int8 table (empty unless ServeOptions::quantize_int8).
   QuantizedEmbeddingTable quantized;

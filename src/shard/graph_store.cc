@@ -1,14 +1,11 @@
 #include "shard/graph_store.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 
 #include "io/serialize.h"
-#include "parallel/parallel_for.h"
 #include "tensor/check.h"
-#include "tensor/simd/simd.h"
 
 namespace e2gcl {
 
@@ -308,66 +305,6 @@ bool GraphStore::LoadInducedSubgraph(const std::vector<std::int64_t>& nodes,
   *out = BuildGraph(m, edges, std::move(feats), std::move(labels),
                     num_classes_);
   return true;
-}
-
-Matrix StreamedNormalizedSpmm(const AdjacencySource& adj, const Matrix& b,
-                              std::int64_t rows_per_chunk) {
-  const std::int64_t n = adj.num_nodes();
-  E2GCL_CHECK(b.rows() == n);
-  E2GCL_CHECK(rows_per_chunk > 0);
-  const std::int64_t d = b.cols();
-  const std::vector<std::int64_t>& rp = adj.row_ptr();
-  Matrix out(n, d);
-
-  // Per-row entries replicate NormalizedAdjacency(g) exactly: with self
-  // loops, deg is 1 + degree as a double, the diagonal 1/deg sits at its
-  // ascending-column slot, and off-diagonals are 1/sqrt(deg_v * deg_u).
-  // Row results depend only on the row's own entries, so the chunking
-  // below cannot change them.
-  std::vector<std::int32_t> chunk_cols;
-  std::vector<std::int64_t> lrp;
-  std::vector<std::int32_t> lcol;
-  std::vector<float> lval;
-  for (std::int64_t rb = 0; rb < n; rb += rows_per_chunk) {
-    const std::int64_t re = std::min(n, rb + rows_per_chunk);
-    const std::int64_t rows = re - rb;
-    const bool ok = adj.ReadCols(rb, re, &chunk_cols);
-    E2GCL_CHECK_MSG(ok, "adjacency chunk read failed");
-    lrp.assign(1, 0);
-    lrp.reserve(rows + 1);
-    lcol.clear();
-    lval.clear();
-    lcol.reserve(chunk_cols.size() + rows);
-    lval.reserve(chunk_cols.size() + rows);
-    for (std::int64_t v = rb; v < re; ++v) {
-      const double dv = 1.0 + static_cast<double>(rp[v + 1] - rp[v]);
-      bool self_placed = false;
-      for (std::int64_t e = rp[v] - rp[rb]; e < rp[v + 1] - rp[rb]; ++e) {
-        const std::int32_t u = chunk_cols[e];
-        if (!self_placed && u > v) {
-          lcol.push_back(static_cast<std::int32_t>(v));
-          lval.push_back(static_cast<float>(1.0 / dv));
-          self_placed = true;
-        }
-        const double du = 1.0 + static_cast<double>(rp[u + 1] - rp[u]);
-        lcol.push_back(u);
-        lval.push_back(static_cast<float>(1.0 / std::sqrt(dv * du)));
-      }
-      if (!self_placed) {
-        lcol.push_back(static_cast<std::int32_t>(v));
-        lval.push_back(static_cast<float>(1.0 / dv));
-      }
-      lrp.push_back(static_cast<std::int64_t>(lcol.size()));
-    }
-    const std::int64_t avg_nnz =
-        rows > 0 ? (lrp.back() + rows - 1) / rows : 1;
-    ParallelFor(0, rows, GrainForCost(avg_nnz * d),
-                [&](std::int64_t lb, std::int64_t le) {
-                  simd::SpmmRows(lrp.data(), lcol.data(), lval.data(),
-                                 b.data(), out.RowPtr(rb), lb, le, d);
-                });
-  }
-  return out;
 }
 
 }  // namespace e2gcl

@@ -14,8 +14,8 @@ namespace e2gcl {
 /// on-disk GraphStore. Only the row-pointer array (8(n+1) bytes — ~10 MB
 /// at 1.2M nodes) is required resident; adjacency columns are fetched in
 /// caller-chosen row ranges. Every algorithm in src/shard/ (partitioner,
-/// halo extraction, streamed SpMM) is written against this interface, so
-/// it runs identically whether the graph is in memory or on disk.
+/// halo extraction) is written against this interface, so it runs
+/// identically whether the graph is in memory or on disk.
 class AdjacencySource {
  public:
   virtual ~AdjacencySource() = default;
@@ -121,15 +121,6 @@ class GraphStore : public AdjacencySource {
   bool has_labels_ = false;
   std::vector<std::int64_t> row_ptr_;
 };
-
-/// C = D^-1/2 (A + I) D^-1/2 * B with the adjacency streamed in
-/// `rows_per_chunk` row ranges — the full column array is never
-/// resident. Degrees come from the resident row pointers; per-row
-/// accumulation (ascending column order, diagonal in its sorted slot,
-/// same SIMD row kernel) matches Spmm(NormalizedAdjacency(g), B)
-/// bit-for-bit at any thread count.
-Matrix StreamedNormalizedSpmm(const AdjacencySource& adj, const Matrix& b,
-                              std::int64_t rows_per_chunk = 1 << 16);
 
 }  // namespace e2gcl
 

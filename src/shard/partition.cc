@@ -4,15 +4,12 @@
 #include <cmath>
 #include <numeric>
 
-#include "io/serialize.h"
 #include "tensor/check.h"
 
 namespace e2gcl {
 
 namespace {
 
-constexpr std::uint32_t kPartitionMagic = 0x45505254;  // "EPRT"
-constexpr std::uint32_t kPartitionVersion = 1;
 constexpr std::int64_t kSweepRows = std::int64_t{1} << 16;
 
 std::int64_t CeilCap(std::int64_t total, int shards, double slack) {
@@ -237,46 +234,6 @@ Partition PartitionGraph(const AdjacencySource& adj,
   p.cut_edges = cut;
   BuildShardNodes(&p);
   return p;
-}
-
-bool SavePartition(const std::string& path, const Partition& p) {
-  ByteWriter w;
-  w.WriteI64(p.num_shards);
-  w.WriteI64(static_cast<std::int64_t>(p.shard_of.size()));
-  w.WriteI64(p.cut_edges);
-  w.WriteI64(p.total_edges);
-  w.WriteBytes(p.shard_of.data(),
-               p.shard_of.size() * sizeof(std::int32_t));
-  return WriteStateFile(path, kPartitionMagic, kPartitionVersion,
-                        {{"partition", w.bytes()}});
-}
-
-bool LoadPartition(const std::string& path, Partition* p) {
-  std::vector<StateSection> sections;
-  if (!ReadStateFile(path, kPartitionMagic, kPartitionVersion, &sections)) {
-    return false;
-  }
-  const StateSection* sec = FindSection(sections, "partition");
-  if (sec == nullptr) return false;
-  ByteReader r(sec->payload);
-  const std::int64_t s = r.ReadI64();
-  const std::int64_t n = r.ReadI64();
-  const std::int64_t cut = r.ReadI64();
-  const std::int64_t total = r.ReadI64();
-  if (!r.ok() || s < 1 || n < 0) return false;
-  const std::string raw = r.ReadRaw(n * sizeof(std::int32_t));
-  if (!r.AtEnd()) return false;
-  p->num_shards = static_cast<int>(s);
-  p->cut_edges = cut;
-  p->total_edges = total;
-  p->shard_of.resize(n);
-  std::copy_n(reinterpret_cast<const std::int32_t*>(raw.data()), n,
-              p->shard_of.begin());
-  for (std::int64_t v = 0; v < n; ++v) {
-    if (p->shard_of[v] < 0 || p->shard_of[v] >= p->num_shards) return false;
-  }
-  BuildShardNodes(p);
-  return true;
 }
 
 }  // namespace e2gcl

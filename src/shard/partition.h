@@ -2,7 +2,6 @@
 #define E2GCL_SHARD_PARTITION_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "shard/graph_store.h"
@@ -63,12 +62,6 @@ struct Partition {
 /// Thread count never enters the computation.
 Partition PartitionGraph(const AdjacencySource& adj,
                          const PartitionOptions& options);
-
-/// Persists the per-node labels (+ cut stats) as a CRC-checked state
-/// file; LoadPartition rebuilds shard_nodes from them. Round-trips
-/// bit-identically.
-bool SavePartition(const std::string& path, const Partition& p);
-bool LoadPartition(const std::string& path, Partition* p);
 
 }  // namespace e2gcl
 

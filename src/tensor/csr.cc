@@ -86,17 +86,6 @@ CsrMatrix CsrMatrix::FromCoo(
   return m;
 }
 
-CsrMatrix CsrMatrix::Transposed() const {
-  std::vector<std::tuple<std::int64_t, std::int64_t, float>> triplets;
-  triplets.reserve(nnz());
-  for (std::int64_t r = 0; r < rows_; ++r) {
-    for (std::int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      triplets.emplace_back(col_idx_[k], r, values_[k]);
-    }
-  }
-  return FromCoo(cols_, rows_, std::move(triplets));
-}
-
 Matrix CsrMatrix::ToDense() const {
   Matrix d(rows_, cols_);
   for (std::int64_t r = 0; r < rows_; ++r) {

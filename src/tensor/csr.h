@@ -44,9 +44,6 @@ class CsrMatrix {
     return row_ptr_[r + 1] - row_ptr_[r];
   }
 
-  /// Transposed copy (O(nnz)).
-  CsrMatrix Transposed() const;
-
   /// Dense copy (tests / tiny matrices only).
   Matrix ToDense() const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -64,24 +63,8 @@ Matrix Matrix::Row(std::int64_t r) const {
   return out;
 }
 
-void Matrix::Fill(float value) {
-  std::fill(data_.begin(), data_.end(), value);
-}
-
 bool Matrix::operator==(const Matrix& other) const {
   return rows_ == other.rows_ && cols_ == other.cols_ && data_ == other.data_;
-}
-
-std::string Matrix::ToString() const {
-  std::ostringstream os;
-  os << "[" << rows_ << " x " << cols_ << "]\n";
-  for (std::int64_t r = 0; r < rows_; ++r) {
-    for (std::int64_t c = 0; c < cols_; ++c) {
-      os << (c == 0 ? "" : " ") << (*this)(r, c);
-    }
-    os << "\n";
-  }
-  return os.str();
 }
 
 namespace {
@@ -272,18 +255,6 @@ float FrobeniusNorm(const Matrix& a) {
   double acc = 0.0;
   for (double p : partial) acc += p;
   return static_cast<float>(std::sqrt(acc));
-}
-
-Matrix RowSums(const Matrix& a) {
-  Matrix s(a.rows(), 1);
-  ParallelFor(0, a.rows(), GrainForCost(a.cols()),
-              [&](std::int64_t rb, std::int64_t re) {
-                for (std::int64_t r = rb; r < re; ++r) {
-                  s(r, 0) =
-                      static_cast<float>(simd::SumD(a.RowPtr(r), a.cols()));
-                }
-              });
-  return s;
 }
 
 Matrix ColSums(const Matrix& a) {

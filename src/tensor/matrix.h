@@ -2,7 +2,6 @@
 #define E2GCL_TENSOR_MATRIX_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "tensor/aligned.h"
@@ -69,17 +68,8 @@ class Matrix {
   /// Copies row r into a 1 x cols matrix.
   Matrix Row(std::int64_t r) const;
 
-  /// Sets all entries to `value`.
-  void Fill(float value);
-
-  /// Sets all entries to zero.
-  void SetZero() { Fill(0.0f); }
-
   /// True iff shapes and all entries are exactly equal.
   bool operator==(const Matrix& other) const;
-
-  /// Human-readable form for debugging/tests (small matrices only).
-  std::string ToString() const;
 
  private:
   std::int64_t rows_;
@@ -127,9 +117,6 @@ float MeanAll(const Matrix& a);
 
 /// Frobenius norm.
 float FrobeniusNorm(const Matrix& a);
-
-/// Column vector (rows x 1) of row sums.
-Matrix RowSums(const Matrix& a);
 
 /// Row vector (1 x cols) of column sums.
 Matrix ColSums(const Matrix& a);

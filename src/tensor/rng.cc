@@ -102,11 +102,6 @@ void Rng::Shuffle(std::vector<std::int64_t>& values) {
   }
 }
 
-Rng Rng::Fork() {
-  std::uint64_t child_seed = engine_();
-  return Rng(child_seed);
-}
-
 std::string Rng::SerializeState() const {
   std::ostringstream os;
   os << engine_;

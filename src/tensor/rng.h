@@ -74,10 +74,6 @@ class Rng {
   /// Fisher-Yates shuffle of `values`.
   void Shuffle(std::vector<std::int64_t>& values);
 
-  /// Derives an independent child generator; useful to give parallel or
-  /// repeated phases their own streams without correlating them.
-  Rng Fork();
-
   /// Serializes the full engine state (position included) to a portable
   /// text form, so a restored generator continues the exact stream.
   std::string SerializeState() const;

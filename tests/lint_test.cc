@@ -645,37 +645,6 @@ TEST(LintLexer, StringContinuationKeepsLineNumbersAligned) {
   }
 }
 
-// --- Per-rule stats (--stats) ----------------------------------------
-
-TEST(LintStats, AccumulatesPerRuleTimingAndFindingCounts) {
-  SetRuleStatsEnabled(true);
-  ResetRuleStats();
-  LintContent(kLibPath, "std::cout << 1;\n");
-  std::vector<RuleStat> stats = RuleStats();
-  SetRuleStatsEnabled(false);
-  ASSERT_EQ(stats.size(), RuleTable().size());
-  bool saw_stdout_rule = false;
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    EXPECT_EQ(stats[i].name, RuleTable()[i].name);
-    EXPECT_GE(stats[i].nanos, 0);
-    if (stats[i].name == "stdout-in-library") {
-      saw_stdout_rule = true;
-      EXPECT_EQ(stats[i].findings, 1);
-    } else {
-      EXPECT_EQ(stats[i].findings, 0);
-    }
-  }
-  EXPECT_TRUE(saw_stdout_rule);
-  ResetRuleStats();
-  EXPECT_TRUE(RuleStats().empty());
-}
-
-TEST(LintStats, DisabledByDefaultCostsNothing) {
-  ResetRuleStats();
-  LintContent(kLibPath, "std::cout << 1;\n");
-  EXPECT_TRUE(RuleStats().empty());
-}
-
 // --- Comments and strings never trip rules ---------------------------
 
 TEST(LintLexer, CommentedAndQuotedCodeIsIgnored) {

@@ -89,19 +89,6 @@ TEST(Adam, WeightDecayShrinksUnusedParams) {
   EXPECT_FLOAT_EQ(u.value()(0, 0), 5.0f);
 }
 
-TEST(Sgd, MinimizesQuadratic) {
-  ParamSet ps;
-  Var w = ps.Create(Matrix(1, 2, 4.0f));
-  Sgd sgd(ps.params(), 0.2f);
-  for (int i = 0; i < 100; ++i) {
-    Var loss = ag::MseLoss(w, Var::Constant(Matrix(1, 2, 1.0f)));
-    sgd.ZeroGrad();
-    loss.Backward();
-    sgd.Step();
-  }
-  EXPECT_NEAR(w.value()(0, 0), 1.0f, 1e-3f);
-}
-
 TEST(GcnEncoder, OutputShape) {
   Graph g = SmallGraph();
   Rng rng(4);

@@ -1430,6 +1430,131 @@ TEST(EmbeddingServer, ReloadedGenerationSortsItsOwnTable) {
   }
 }
 
+/// {serve.rows_computed, serve.cache.misses}, read together.
+std::pair<std::uint64_t, std::uint64_t> RowCounters() {
+  const MetricsSnapshot snap = MetricsRegistry::Get().Snapshot();
+  return {snap.counter("serve.rows_computed"),
+          snap.counter("serve.cache.misses")};
+}
+
+/// Every row and score `server` serves for `nodes` carries the bytes of
+/// `z`, the offline Encode() of its generation.
+void ExpectServesTable(EmbeddingServer& server, const Matrix& z,
+                       const std::vector<std::int64_t>& nodes) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const std::int64_t u = nodes[i];
+    const std::int64_t v = nodes[(i + 1) % nodes.size()];
+    EXPECT_EQ(Bits(ServedRow(server, u)), Bits(RowOf(z, u))) << "node " << u;
+    EXPECT_EQ(Bits({ServedScore(server, u, v)}),
+              Bits({simd::Dot(z.RowPtr(u), z.RowPtr(v), z.cols())}))
+        << "link " << u << "," << v;
+  }
+}
+
+TEST(EmbeddingServer, LazyGenerationReadsRowsFromItsTableAfterItsFirstTopK) {
+  const Graph g = ServeGraph();
+  const TrainerCheckpoint ckpt = MakeCheckpoint(g);
+  const Matrix reference = ReferenceEmbeddings(g, ckpt);
+  SetObsEnabled(true);
+  for (int threads : kThreadCounts) {
+    SetNumThreads(threads);
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    ServeOptions opt;  // lazy, fp32
+    std::string error;
+    auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
+    ASSERT_NE(server, nullptr) << error;
+    MetricsRegistry::Get().ResetValuesForTest();
+    // The first TopK computes its query row behind the cache, then
+    // materializes the table.
+    const TopKResult top = ServedTopK(*server, 31, 5);
+    EXPECT_EQ(top.nodes.size(), 5u);
+    EXPECT_EQ(server->state()->full.rows(), g.num_nodes);
+    const auto after_topk = RowCounters();
+    EXPECT_EQ(after_topk, std::make_pair(std::uint64_t{1}, std::uint64_t{1}));
+    // Nodes never fetched before come from the table: Encode()'s bytes,
+    // with nothing computed and the cache untouched.
+    ExpectServesTable(*server, reference, {0, 17, 64, 119, 90});
+    EXPECT_EQ(RowCounters(), after_topk);
+    EXPECT_EQ(server->cache()->Size(), 1);
+  }
+  SetNumThreads(1);
+}
+
+TEST(EmbeddingServer, ReloadedLazyGenerationComputesRowsUntilItsOwnFirstTopK) {
+  const Graph g = ServeGraph();
+  const TrainerCheckpoint first = MakeCheckpoint(g, /*seed=*/3);
+  const TrainerCheckpoint second = MakeCheckpoint(g, /*seed=*/4);
+  const Matrix z2 = ReferenceEmbeddings(g, second);
+  SetObsEnabled(true);
+  ServeOptions opt;  // lazy, fp32
+  std::string error;
+  auto server = EmbeddingServer::FromCheckpoint(g, first, opt, &error);
+  ASSERT_NE(server, nullptr) << error;
+  ServedTopK(*server, 31, 5);  // generation 1 materializes its table
+  ASSERT_EQ(server->ReloadCheckpoint(second, &error), ServeStatus::kOk)
+      << error;
+  EXPECT_EQ(server->state()->full.rows(), 0);
+  MetricsRegistry::Get().ResetValuesForTest();
+  // Generation 2 holds no table yet: each new row is computed once,
+  // behind its own cache.
+  ExpectServesTable(*server, z2, {7, 50});
+  const auto before_topk = RowCounters();
+  EXPECT_EQ(before_topk, std::make_pair(std::uint64_t{2}, std::uint64_t{2}));
+  // Its first TopK (query row cached) materializes its own table, which
+  // then serves every row.
+  const TopKResponse top = server->TopKSimilar(50, 5, ServeRequestOptions{});
+  ASSERT_EQ(top.status, ServeStatus::kOk);
+  EXPECT_EQ(top.generation, 2u);
+  EXPECT_EQ(server->state()->full.rows(), g.num_nodes);
+  ExpectServesTable(*server, z2, {8, 99, 7, 119});
+  EXPECT_EQ(RowCounters(), before_topk);
+}
+
+TEST(EmbeddingServer, ConcurrentLookupsChurnTheLazyCache) {
+  const Graph g = ServeGraph();
+  const TrainerCheckpoint ckpt = MakeCheckpoint(g);
+  const Matrix reference = ReferenceEmbeddings(g, ckpt);
+  ServeOptions opt;
+  opt.cache_capacity = 16;  // far below |V|: rows are evicted and recomputed
+  opt.max_batch = 16;
+  std::string error;
+  auto server = EmbeddingServer::FromCheckpoint(g, ckpt, opt, &error);
+  ASSERT_NE(server, nullptr) << error;
+
+  // Lookups only: no TopK materializes the table, so every row comes
+  // through the cache for the whole run.
+  constexpr int kClients = 8;
+  constexpr int kQueriesPerClient = 40;
+  std::vector<std::thread> clients;
+  std::vector<int> failures(kClients, 0);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Rng rng(2000 + static_cast<std::uint64_t>(c));
+      for (int q = 0; q < kQueriesPerClient; ++q) {
+        const std::int64_t node = rng.UniformInt(g.num_nodes);
+        const std::int64_t other = rng.UniformInt(g.num_nodes);
+        if (q % 2 == 0) {
+          if (ServedRow(*server, node) != RowOf(reference, node)) {
+            ++failures[c];
+          }
+        } else if (ServedScore(*server, node, other) !=
+                   simd::Dot(reference.RowPtr(node), reference.RowPtr(other),
+                             reference.cols())) {
+          ++failures[c];
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(failures[c], 0) << "client " << c;
+  }
+  EXPECT_EQ(server->state()->full.rows(), 0);
+  EXPECT_LE(server->cache()->Size(), 16);
+  // More misses than the cache holds: rows were evicted under load.
+  EXPECT_GT(server->cache()->misses(), 16u);
+}
+
 // --- Checkpoint loading & validation. --------------------------------------
 
 class ServeLoadTest : public ::testing::Test {

@@ -1,6 +1,6 @@
 // Sharded / out-of-core layer: partition determinism + balance,
-// GraphStore round-trips and corruption rejection, streamed-SpMM
-// bit-identity, halo-ball correctness, budget apportionment, and the
+// GraphStore round-trips and corruption rejection, halo-ball
+// correctness, budget apportionment, and the
 // merge-determinism suite — {1,2,4} shards x {1,2,7} threads
 // bit-identical per shard count, resident == out-of-core, and sharded
 // resume bit-identical from a mid-run checkpoint.
@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "shard/halo.h"
 #include "shard/partition.h"
 #include "shard/sharded_trainer.h"
-#include "tensor/csr.h"
 #include "tensor/matrix.h"
 
 namespace e2gcl {
@@ -226,39 +224,6 @@ TEST_F(ShardTest, PartitionStorePathMatchesResidentPath) {
   EXPECT_EQ(resident.shard_nodes, streamed.shard_nodes);
 }
 
-TEST_F(ShardTest, PartitionSaveLoadRoundTripsAndRejectsCorruption) {
-  Graph g = ShardGraph(200);
-  PartitionOptions opt;
-  opt.num_shards = 3;
-  Partition p = PartitionGraph(GraphAdjacency(g), opt);
-
-  fs::create_directories(dir_);
-  const std::string path = dir_ + "/part.e2gcl";
-  ASSERT_TRUE(SavePartition(path, p));
-
-  Partition loaded;
-  ASSERT_TRUE(LoadPartition(path, &loaded));
-  EXPECT_EQ(loaded.num_shards, p.num_shards);
-  EXPECT_EQ(loaded.shard_of, p.shard_of);
-  EXPECT_EQ(loaded.cut_edges, p.cut_edges);
-  EXPECT_EQ(loaded.total_edges, p.total_edges);
-  EXPECT_EQ(loaded.shard_nodes, p.shard_nodes);
-
-  // Flip one byte in the middle: the CRC-checked state file must refuse.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    f.seekp(static_cast<std::streamoff>(fs::file_size(path) / 2));
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(static_cast<std::streamoff>(fs::file_size(path) / 2));
-    byte = static_cast<char>(byte ^ 0x5a);
-    f.write(&byte, 1);
-  }
-  Partition corrupt;
-  EXPECT_FALSE(LoadPartition(path, &corrupt));
-}
-
 // --- GraphStore. ----------------------------------------------------------
 
 TEST_F(ShardTest, GraphStoreRoundTripsStructureFeaturesAndLabels) {
@@ -341,35 +306,6 @@ TEST_F(ShardTest, LoadInducedSubgraphMatchesResidentInducedSubgraph) {
   EXPECT_TRUE(streamed.features == resident.features);
   EXPECT_EQ(streamed.labels, resident.labels);
   EXPECT_EQ(streamed.num_classes, resident.num_classes);
-}
-
-// --- Streamed normalized SpMM. -------------------------------------------
-
-TEST_F(ShardTest, StreamedNormalizedSpmmBitIdenticalToResident) {
-  Graph g = ShardGraph(280);
-  Rng rng(19);
-  Matrix b(g.num_nodes, 9);
-  for (std::int64_t i = 0; i < b.rows() * b.cols(); ++i) {
-    b.data()[i] = rng.Uniform() - 0.5f;
-  }
-  const Matrix expected = Spmm(NormalizedAdjacency(g), b);
-
-  GraphAdjacency adj(g);
-  for (std::int64_t chunk : {std::int64_t{1}, std::int64_t{3},
-                             std::int64_t{64}, std::int64_t{1} << 16}) {
-    EXPECT_TRUE(StreamedNormalizedSpmm(adj, b, chunk) == expected)
-        << "chunk " << chunk;
-  }
-
-  // Out-of-core path and thread invariance.
-  ASSERT_TRUE(GraphStore::Write(dir_, g));
-  GraphStore store;
-  ASSERT_TRUE(store.Open(dir_));
-  for (int threads : {1, 7}) {
-    SetNumThreads(threads);
-    EXPECT_TRUE(StreamedNormalizedSpmm(store, b, 37) == expected)
-        << "threads " << threads;
-  }
 }
 
 // --- Halo balls. ----------------------------------------------------------

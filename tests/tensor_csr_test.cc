@@ -65,12 +65,6 @@ TEST(CsrMatrix, ToDenseMatchesLayout) {
   EXPECT_FLOAT_EQ(d(2, 2), 0.0f);
 }
 
-TEST(CsrMatrix, TransposedMatchesDenseTranspose) {
-  CsrMatrix m = SampleCsr();
-  EXPECT_LT(MaxAbsDiff(m.Transposed().ToDense(), Transpose(m.ToDense())),
-            1e-7f);
-}
-
 TEST(Spmm, MatchesDenseProduct) {
   CsrMatrix a = SampleCsr();
   Rng rng(1);

@@ -115,10 +115,7 @@ TEST(Reductions, SumMeanNorm) {
 
 TEST(Reductions, RowColSums) {
   Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
-  Matrix rs = RowSums(a);
   Matrix cs = ColSums(a);
-  EXPECT_FLOAT_EQ(rs(0, 0), 3.0f);
-  EXPECT_FLOAT_EQ(rs(1, 0), 7.0f);
   EXPECT_FLOAT_EQ(cs(0, 0), 4.0f);
   EXPECT_FLOAT_EQ(cs(0, 1), 6.0f);
 }

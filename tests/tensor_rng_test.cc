@@ -152,16 +152,6 @@ TEST(Shuffle, IsPermutation) {
   EXPECT_EQ(v, sorted);
 }
 
-TEST(Fork, ChildIndependentOfFurtherParentUse) {
-  Rng parent(19);
-  Rng child = parent.Fork();
-  const float c1 = child.Uniform();
-  Rng parent2(19);
-  Rng child2 = parent2.Fork();
-  parent2.Uniform();  // Using the parent afterwards must not change child2.
-  EXPECT_EQ(child2.Uniform(), c1);
-}
-
 // Uniform() and Bernoulli() are inline formulas, not calls into the std
 // distributions; these tests pin them to the distributions they replace,
 // driven from a copy of the same engine, so the RNG stream (and every

@@ -96,7 +96,6 @@ TARGETS=(
   autograd_ops_test
   autograd_loss_test
   serialize_test
-  io_robustness_test
   fault_tolerance_test
   failure_injection_test
   obs_test

@@ -2,7 +2,7 @@
 // tests/. See tools/lint/lint.h and DESIGN.md "Static analysis &
 // invariants" for the rule table and suppression syntax.
 //
-//   e2gcl_lint [--root DIR] [--json] [--stats] [--list-rules] [paths...]
+//   e2gcl_lint [--root DIR] [--json] [--list-rules] [paths...]
 //
 // Paths are repo-relative files or directories (default: src tools
 // tests). Exit codes: 0 = no unsuppressed findings, 1 = findings,
@@ -19,11 +19,9 @@ namespace {
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--root DIR] [--json] [--stats] [--list-rules] "
-               "[paths...]\n"
+               "usage: %s [--root DIR] [--json] [--list-rules] [paths...]\n"
                "  --root DIR    repository root to scan (default: .)\n"
                "  --json        emit a machine-readable JSON report\n"
-               "  --stats       print per-rule wall time and finding counts\n"
                "  --list-rules  print every rule with its severity\n",
                argv0);
 }
@@ -33,7 +31,6 @@ void Usage(const char* argv0) {
 int main(int argc, char** argv) {
   std::string root = ".";
   bool json = false;
-  bool stats = false;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -45,8 +42,6 @@ int main(int argc, char** argv) {
       root = argv[++i];
     } else if (arg == "--json") {
       json = true;
-    } else if (arg == "--stats") {
-      stats = true;
     } else if (arg == "--list-rules") {
       for (const e2gcl::lint::RuleInfo& r : e2gcl::lint::Rules()) {
         std::printf("%-26s %-8s %s\n", r.name.c_str(),
@@ -64,19 +59,9 @@ int main(int argc, char** argv) {
 
   std::vector<e2gcl::lint::Finding> findings;
   std::string error;
-  e2gcl::lint::SetRuleStatsEnabled(stats);
   if (!e2gcl::lint::LintTree(root, paths, &findings, &error)) {
     std::fprintf(stderr, "e2gcl_lint: %s\n", error.c_str());
     return 2;
-  }
-  if (stats) {
-    // Report goes to stderr so stdout stays the findings stream.
-    std::fprintf(stderr, "%-28s %10s %9s\n", "rule", "time(ms)", "findings");
-    for (const e2gcl::lint::RuleStat& s : e2gcl::lint::RuleStats()) {
-      std::fprintf(stderr, "%-28s %10.2f %9lld\n", s.name.c_str(),
-                   static_cast<double>(s.nanos) / 1e6,
-                   static_cast<long long>(s.findings));
-    }
   }
   if (json) {
     std::printf("%s\n",

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <map>
 #include <regex>
 #include <set>
@@ -1190,63 +1189,31 @@ const std::vector<RuleInfo>& Rules() {
   return kRules;
 }
 
-const std::vector<RuleEntry>& RuleTable() {
-  static const std::vector<RuleEntry> kTable = {
-      {"unordered-iteration", &RuleUnorderedIteration},
-      {"banned-random", &RuleBannedRandom},
-      {"atomic-float", &RuleAtomicFloat},
-      {"raw-file-write", &RuleRawFileWrite},
-      {"naked-new-delete", &RuleNakedNewDelete},
-      {"stdout-in-library", &RuleStdoutInLibrary},
-      {"parallel-reduction", &RuleParallelReduction},
-      {"include-guard", &RuleIncludeGuard},
-      {"float-index-cast", &RuleFloatIndexCast},
-      {"raw-simd-intrinsic", &RuleRawSimdIntrinsic},
-      {"raw-socket-io", &RuleRawSocketIo},
-      {"test-include-in-library", &RuleTestIncludeInLibrary},
-      {"blocking-in-event-loop", &RuleBlockingInEventLoop},
-      {"unannotated-mutex", &RuleUnannotatedMutex},
-      {"lock-order", &RuleLockOrder},
-      {"hold-lock-across-callback", &RuleHoldLockAcrossCallback},
-  };
-  return kTable;
-}
-
-namespace {
-// Linting is single-threaded (LintTree walks files sequentially), so
-// the stats accumulator is a plain file-local.
-bool g_stats_enabled = false;
-std::vector<RuleStat> g_stats;
-}  // namespace
-
-void SetRuleStatsEnabled(bool enabled) { g_stats_enabled = enabled; }
-
-std::vector<RuleStat> RuleStats() { return g_stats; }
-
-void ResetRuleStats() { g_stats.clear(); }
-
 void RunAllRules(const std::string& path, const LexedFile& lexed,
                  std::vector<Finding>* out) {
-  const std::vector<RuleEntry>& table = RuleTable();
-  if (!g_stats_enabled) {
-    for (const RuleEntry& entry : table) entry.fn(path, lexed, out);
-    return;
-  }
-  if (g_stats.size() != table.size()) {
-    g_stats.assign(table.size(), RuleStat{});
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      g_stats[i].name = table[i].name;
-    }
-  }
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    const std::size_t before = out->size();
-    const auto t0 = std::chrono::steady_clock::now();
-    table[i].fn(path, lexed, out);
-    const auto t1 = std::chrono::steady_clock::now();
-    g_stats[i].nanos +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-    g_stats[i].findings += static_cast<std::int64_t>(out->size() - before);
-  }
+  // Every rule pass in execution order (the meta rule
+  // suppression-justification runs in the engine, not here).
+  using RulePass = void (*)(const std::string&, const LexedFile&,
+                            std::vector<Finding>*);
+  static constexpr RulePass kPasses[] = {
+      &RuleUnorderedIteration,
+      &RuleBannedRandom,
+      &RuleAtomicFloat,
+      &RuleRawFileWrite,
+      &RuleNakedNewDelete,
+      &RuleStdoutInLibrary,
+      &RuleParallelReduction,
+      &RuleIncludeGuard,
+      &RuleFloatIndexCast,
+      &RuleRawSimdIntrinsic,
+      &RuleRawSocketIo,
+      &RuleTestIncludeInLibrary,
+      &RuleBlockingInEventLoop,
+      &RuleUnannotatedMutex,
+      &RuleLockOrder,
+      &RuleHoldLockAcrossCallback,
+  };
+  for (RulePass pass : kPasses) pass(path, lexed, out);
 }
 
 }  // namespace lint

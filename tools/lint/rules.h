@@ -1,7 +1,6 @@
 #ifndef E2GCL_TOOLS_LINT_RULES_H_
 #define E2GCL_TOOLS_LINT_RULES_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -10,45 +9,11 @@
 namespace e2gcl {
 namespace lint {
 
-/// One registered rule implementation: stable name + the pass function.
-/// RunAllRules iterates this table, so the `--stats` timing and the
-/// Rules() reporting list cannot drift from what actually executes.
-struct RuleEntry {
-  const char* name;
-  void (*fn)(const std::string& path, const LexedFile& lexed,
-             std::vector<Finding>* out);
-};
-
-/// Every rule pass in execution order (the meta rule
-/// suppression-justification runs in the engine, not here).
-const std::vector<RuleEntry>& RuleTable();
-
 /// Runs every registered rule over one lexed file, appending raw
 /// (pre-suppression) findings to `out`. `path` is repo-relative and
-/// drives per-rule scoping. When stats collection is enabled, each
-/// rule's wall time and finding count are accumulated process-wide.
+/// drives per-rule scoping.
 void RunAllRules(const std::string& path, const LexedFile& lexed,
                  std::vector<Finding>* out);
-
-/// --- per-rule timing (the --stats flag) ------------------------------
-
-/// Accumulated cost of one rule across every file linted so far.
-struct RuleStat {
-  std::string name;
-  std::int64_t nanos = 0;     // summed wall time of the rule pass
-  std::int64_t findings = 0;  // raw findings emitted (pre-suppression)
-};
-
-/// Turns accumulation on/off (off by default: the common path pays no
-/// clock reads). Linting is single-threaded, so the accumulator is a
-/// plain file-local — no lock.
-void SetRuleStatsEnabled(bool enabled);
-
-/// Snapshot in RuleTable() order. Empty unless enabled before linting.
-std::vector<RuleStat> RuleStats();
-
-/// Zeroes the accumulator (tests).
-void ResetRuleStats();
 
 }  // namespace lint
 }  // namespace e2gcl
